@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit code contract: 0 = relation holds / operation succeeded, 1 = relation
-fails / classification rejects / selftest failures, 2 = usage or input error.
+fails / classification rejects / selftest failures, 2 = usage or input error,
+3 = internal error (a fault in the program, never a verdict on the input).
 All randomness flows from one master seed; the only environment variable
 honored is MAJ_TOL (default class tolerance), keeping runs reproducible.
 """
@@ -106,7 +107,7 @@ _CHECKS = {
 def _cmd_check(args, cfg: Config) -> int:
     f = _load_vector(args.f)
     g = _load_vector(args.g)
-    verdict = _CHECKS[args.relation](f, g, cfg.tol_class, with_witness=True)
+    verdict = _CHECKS[args.relation](f, g, cfg.tol_class, with_witness=bool(args.emit_witness))
     if args.emit_witness and verdict.holds and verdict.witness is not None:
         payload = {"witness": verdict.witness.to_json_dict()}
         if verdict.certificate is not None:
@@ -411,12 +412,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             output_mode="json" if args.json else "text",
         )
         return args.handler(args, cfg)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -10,11 +10,15 @@ Three relations on nonnegative vectors (shorter input zero-padded first):
                    finite vectors this coincides with weak majorization,
                    because every finite doubly substochastic matrix is
                    increasable; the verdict additionally carries the
-                   completion certificate of its witness.
+                   increasability certificate of its witness.
 
 Every accepted relation is certified constructively: a chain of at most
 n-1 two-coordinate mixing steps (T-transforms) built by the classical
-Hardy-Littlewood-Polya argument, row-scaled when totals differ.
+Hardy-Littlewood-Polya argument, row-scaled when totals differ: the weak
+witness is W = diag(s) D1 with 0 <= s <= 1 and D1 doubly stochastic.  D1
+dominates W entrywise, so D1 is the submajorization certificate, and its
+``steps`` is empty (no greedy completion runs).  Each call sorts every
+vector once and decides once; the witness is built from that sorted data.
 """
 from __future__ import annotations
 
@@ -26,13 +30,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .config import DEFAULT_CLASS_TOL
-from .matrices import (
-    IncreasabilityCertificate,
-    StochMatrix,
-    classify_matrix,
-    vonneumann_complete,
-)
-from .vectors import NonNegVector, common_dim, decreasing_rearrangement, partial_sums
+from .matrices import IncreasabilityCertificate, StochMatrix, classify_matrix
+from .vectors import NonNegVector, common_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,16 +131,44 @@ def chain_product_from_parts(chain: TTransformChain) -> np.ndarray:
     return _perm_matrix(chain.post_perm).T @ acc @ _perm_matrix(chain.pre_perm)
 
 
-def _dominance_failure(
-    pf: np.ndarray, pg: np.ndarray, tol: float, require_equal_totals: bool
-) -> Optional[int]:
-    """First violated 1-based sorted-partial-sum position, or None."""
+class _Sorted(NamedTuple):
+    """A vector sorted once: the vector, its stable non-increasing order
+    (0-based, ties by ascending index), the sorted values and their partial
+    sums."""
+
+    raw: np.ndarray
+    order: np.ndarray
+    values: np.ndarray
+    sums: np.ndarray
+
+
+def _sort(raw: np.ndarray) -> _Sorted:
+    order = np.argsort(-raw, kind="stable")
+    values = raw[order]
+    return _Sorted(raw, order, values, np.cumsum(values))
+
+
+def _decide(
+    f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool
+) -> tuple[_Sorted, _Sorted, Optional[RelationVerdict]]:
+    """Sort the zero-padded f and g once and test sorted-partial-sum dominance.
+
+    ``equal_totals`` adds the majorization condition on the last position.
+    Returns both sorted vectors and the failing verdict (None if it holds).
+    """
+    f2, g2 = common_dim(f, g)
+    sf, sg = _sort(f2.values), _sort(g2.values)
+    pf, pg = sf.sums, sg.sums
     bad = np.nonzero(pf > pg + tol)[0]
     if bad.size:
-        return int(bad[0]) + 1
-    if require_equal_totals and abs(pf[-1] - pg[-1]) > tol:
-        return int(pf.size)
-    return None
+        k = int(bad[0])
+        message = f"sorted partial sums fail at position {k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
+    elif equal_totals and abs(pf[-1] - pg[-1]) > tol:
+        k = pf.size - 1
+        message = f"totals differ at position {k + 1}: {pf[k]:.12g} vs {pg[k]:.12g}"
+    else:
+        return sf, sg, None
+    return sf, sg, RelationVerdict(holds=False, failed_index=k + 1, message=message)
 
 
 def check_majorize(
@@ -151,23 +178,10 @@ def check_majorize(
     with_witness: bool = True,
 ) -> RelationVerdict:
     """Decide f majorized by g; certify with a doubly stochastic witness."""
-    f2, g2 = common_dim(f, g)
-    pf = partial_sums(decreasing_rearrangement(f2).sorted)
-    pg = partial_sums(decreasing_rearrangement(g2).sorted)
-    bad = _dominance_failure(pf, pg, tol, require_equal_totals=True)
-    if bad is not None:
-        if pf[bad - 1] > pg[bad - 1] + tol:
-            message = (
-                f"sorted partial sums fail at position {bad}: "
-                f"{pf[bad - 1]:.12g} > {pg[bad - 1]:.12g}"
-            )
-        else:
-            message = (
-                f"totals differ at position {bad}: "
-                f"{pf[bad - 1]:.12g} vs {pg[bad - 1]:.12g}"
-            )
-        return RelationVerdict(holds=False, failed_index=bad, message=message)
-    witness = hlp_witness(f2, g2, tol).product if with_witness else None
+    sf, sg, failed = _decide(f, g, tol, equal_totals=True)
+    if failed is not None:
+        return failed
+    witness = classify_matrix(_hlp_chain(sf, sg, tol)[1], tol) if with_witness else None
     return RelationVerdict(holds=True, witness=witness, message="majorization holds")
 
 
@@ -178,18 +192,10 @@ def check_weak_majorize(
     with_witness: bool = True,
 ) -> RelationVerdict:
     """Decide f weakly majorized by g; certify with a doubly substochastic witness."""
-    f2, g2 = common_dim(f, g)
-    pf = partial_sums(decreasing_rearrangement(f2).sorted)
-    pg = partial_sums(decreasing_rearrangement(g2).sorted)
-    bad = _dominance_failure(pf, pg, tol, require_equal_totals=False)
-    if bad is not None:
-        return RelationVerdict(
-            holds=False,
-            failed_index=bad,
-            message=f"sorted partial sums fail at position {bad}: "
-            f"{pf[bad - 1]:.12g} vs {pg[bad - 1]:.12g}",
-        )
-    witness = weak_witness(f2, g2, tol) if with_witness else None
+    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
+    if failed is not None:
+        return failed
+    witness = _weak_factors(sf, sg, tol)[0] if with_witness else None
     return RelationVerdict(holds=True, witness=witness, message="weak majorization holds")
 
 
@@ -201,20 +207,21 @@ def check_submajorize(
 ) -> RelationVerdict:
     """Decide f submajorized by g on truncations (zero tails assumed).
 
-    Coincides with the weak check on finite vectors; on acceptance the
-    substochastic witness is completed to a doubly stochastic matrix, which
-    is exactly its increasability certificate.
+    Coincides with the weak check on finite vectors.  On acceptance the
+    witness is W = diag(s) D1 with D1 doubly stochastic, and the certificate
+    is that factor: ``IncreasabilityCertificate(base=W, completion=D1)``.
+    D1 dominates W entrywise, which is exactly increasability; the
+    certificate's ``steps`` is empty, since no greedy completion runs.
     """
-    verdict = check_weak_majorize(f, g, tol, with_witness)
-    if not verdict.holds or verdict.witness is None:
-        return verdict
-    cert = vonneumann_complete(verdict.witness, tol)
-    return RelationVerdict(
-        holds=True,
-        witness=verdict.witness,
-        certificate=cert,
-        message="submajorization holds (finite collapse to the weak relation)",
-    )
+    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
+    if failed is not None:
+        return failed
+    message = "submajorization holds (finite collapse to the weak relation)"
+    if not with_witness:
+        return RelationVerdict(holds=True, message=message)
+    witness, d1 = _weak_factors(sf, sg, tol)
+    cert = IncreasabilityCertificate(base=witness, completion=d1)
+    return RelationVerdict(holds=True, witness=witness, certificate=cert, message=message)
 
 
 def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL) -> TTransformChain:
@@ -227,20 +234,26 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
     closer while pinning at least one more coordinate exactly.  The final
     product is un-sorted through both rearrangement permutations.
     """
-    f2, g2 = common_dim(f, g)
-    pre = check_majorize(f2, g2, tol, with_witness=False)
-    if not pre.holds:
-        raise ValueError(f"majorization precondition fails: {pre.message}")
+    sf, sg, failed = _decide(f, g, tol, equal_totals=True)
+    if failed is not None:
+        raise ValueError(f"majorization precondition fails: {failed.message}")
+    steps, product = _hlp_chain(sf, sg, tol)
+    return TTransformChain(
+        steps=steps,
+        pre_perm=tuple((sg.order + 1).tolist()),
+        post_perm=tuple((sf.order + 1).tolist()),
+        product=classify_matrix(product, tol),
+    )
 
-    rf = decreasing_rearrangement(f2)
-    rg = decreasing_rearrangement(g2)
-    x = rf.sorted.values.copy()
-    y = rg.sorted.values.copy()
-    n = x.size
+
+def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[TTransformStep, ...], np.ndarray]:
+    """The steps of :func:`hlp_witness` and their product in original coordinates."""
+    x = sf.values
+    y = sg.values.copy()
     scale = max(1.0, float(y.max(initial=0.0)))
     eps = 1e-12 * scale
 
-    acc = np.eye(n)
+    acc = np.eye(x.size)
     steps: list[TTransformStep] = []
     while True:
         d = y - x
@@ -269,19 +282,11 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
         acc[k] = t * row_j + (1 - t) * row_k
         steps.append(TTransformStep(j + 1, k + 1, float(t)))
 
-    # Un-sort: product = P_f^T (T_m ... T_1) P_g, applied as permutations.
-    pg0 = np.asarray(rg.perm) - 1
-    pf0 = np.asarray(rf.perm) - 1
-    mid = np.empty_like(acc)
-    mid[:, pg0] = acc
+    # Un-sort: product = P_f^T (T_m ... T_1) P_g, so sorted row r lands on
+    # f's position order[r] and sorted column c on g's position order[c].
     full = np.empty_like(acc)
-    full[pf0, :] = mid
-    return TTransformChain(
-        steps=tuple(steps),
-        pre_perm=rg.perm,
-        post_perm=rf.perm,
-        product=classify_matrix(full, tol),
-    )
+    full[np.ix_(sf.order, sg.order)] = acc
+    return tuple(steps), full
 
 
 def intermediate_h(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL) -> NonNegVector:
@@ -291,30 +296,23 @@ def intermediate_h(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_
     capping each raise by the remaining sorted-partial-sum headroom of g, so
     dominance is preserved at every prefix and the result is deterministic.
     """
-    f2, g2 = common_dim(f, g)
-    pre = check_weak_majorize(f2, g2, tol, with_witness=False)
-    if not pre.holds:
-        raise ValueError(f"weak majorization precondition fails: {pre.message}")
+    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
+    if failed is not None:
+        raise ValueError(f"weak majorization precondition fails: {failed.message}")
+    return NonNegVector(_raised(sf, sg))
 
-    rf = decreasing_rearrangement(f2)
-    x = rf.sorted.values.copy()
-    n = x.size
-    target = partial_sums(decreasing_rearrangement(g2).sorted)
-    prefix = np.cumsum(x)
-    deficit = max(0.0, float(target[-1] - prefix[-1]))
-    for k in range(n):
-        if deficit <= 0:
-            break
-        headroom = float(np.min(target[k:] - prefix[k:]))
-        raise_k = min(deficit, max(0.0, headroom))
-        if raise_k > 0:
-            x[k] += raise_k
-            prefix[k:] += raise_k
-            deficit -= raise_k
 
-    h = np.empty(n)
-    h[np.asarray(rf.perm) - 1] = x
-    return NonNegVector(np.maximum(h, f2.values))
+def _raised(sf: _Sorted, sg: _Sorted) -> np.ndarray:
+    """The values of :func:`intermediate_h`, in original coordinates."""
+    deficit = max(0.0, float(sg.sums[-1] - sf.sums[-1]))
+    # A raise at sorted position k lifts every later partial sum of f by the
+    # same amount, so the total raised through k is the least headroom of g
+    # over positions k..n, capped by the deficit.
+    headroom = np.minimum.accumulate((sg.sums - sf.sums)[::-1])[::-1]
+    total = np.clip(headroom, 0.0, deficit)
+    h = np.empty_like(sf.raw)
+    h[sf.order] = sf.values + np.diff(total, prepend=0.0)
+    return h
 
 
 def weak_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
@@ -325,23 +323,26 @@ def weak_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TO
     already reproduce f(i) = 0 and keep scale 1).  The all-zero f gets the
     zero matrix directly.
     """
-    f2, g2 = common_dim(f, g)
-    pre = check_weak_majorize(f2, g2, tol, with_witness=False)
-    if not pre.holds:
-        raise ValueError(f"weak majorization precondition fails: {pre.message}")
-    if not np.any(f2.values > 0):
-        return classify_matrix(np.zeros((f2.dim, f2.dim)), tol)
-
-    h = intermediate_h(f2, g2, tol)
-    d1 = hlp_witness(h, g2, tol).product.data
-    safe = np.where(h.values > 0, h.values, 1.0)
-    scales = np.clip(np.where(h.values > 0, f2.values / safe, 1.0), 0.0, 1.0)
-    return classify_matrix(d1 * scales[:, None], tol)
+    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
+    if failed is not None:
+        raise ValueError(f"weak majorization precondition fails: {failed.message}")
+    return _weak_factors(sf, sg, tol)[0]
 
 
-def _ranked_indices(values: np.ndarray) -> np.ndarray:
-    """Indices sorted by (value descending, index ascending)."""
-    return np.argsort(-values, kind="stable")
+def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, StochMatrix]:
+    """The witness W = diag(s) D1 of :func:`weak_witness` and its factor D1
+    (the identity for the all-zero f)."""
+    f = sf.raw
+    n = f.size
+    if not np.any(f > 0):
+        return classify_matrix(np.zeros((n, n)), tol), classify_matrix(np.eye(n), tol)
+    h = _raised(sf, sg)
+    # No name keeps the unclassified product, so at most three n x n arrays
+    # (D1, its scaled copy and W) are alive at once.
+    d1 = classify_matrix(_hlp_chain(_sort(h), sg, tol)[1], tol)
+    safe = np.where(h > 0, h, 1.0)
+    scales = np.clip(np.where(h > 0, f / safe, 1.0), 0.0, 1.0)
+    return classify_matrix(d1.data * scales[:, None], tol), d1
 
 
 def strict_permutation(f: NonNegVector, g: NonNegVector, value_tol: float = 0.0) -> Optional[tuple[int, ...]]:
@@ -351,14 +352,12 @@ def strict_permutation(f: NonNegVector, g: NonNegVector, value_tol: float = 0.0)
     ``value_tol``; exact by default).  Ties are matched by ascending index.
     """
     f2, g2 = common_dim(f, g)
-    of = _ranked_indices(f2.values)
-    og = _ranked_indices(g2.values)
-    if np.any(np.abs(f2.values[of] - g2.values[og]) > value_tol):
+    sf, sg = _sort(f2.values), _sort(g2.values)
+    if np.any(np.abs(sf.values - sg.values) > value_tol):
         return None
-    out = [0] * f2.dim
-    for r in range(f2.dim):
-        out[int(of[r])] = int(og[r]) + 1
-    return tuple(out)
+    out = np.empty(f2.dim, dtype=int)
+    out[sf.order] = sg.order + 1
+    return tuple(out.tolist())
 
 
 def partial_permutation(

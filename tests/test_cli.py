@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import submaj.cli
 from submaj.cli import main
 from submaj.matrices import StochMatrix
 from submaj.preservers import TruncatedOperator
@@ -46,6 +47,35 @@ def test_check_emits_witness_with_certificate(files):
     witness = StochMatrix.from_json_dict(payload["witness"])
     assert np.max(np.abs(witness.data @ [2, 0] - [0.5, 0.5])) <= 1e-9
     assert payload["certificate"]["completion"]["class"] == "doubly-stochastic"
+
+
+def test_check_builds_witness_only_when_emitting(files, monkeypatch):
+    write, tmp = files
+    f = write("f.json", {"dim": 2, "values": [0.5, 0.5]})
+    g = write("g.json", {"dim": 2, "values": [2.0, 0.0]})
+    asked = []
+    check = submaj.cli._CHECKS["sub"]
+
+    def recording(*args, with_witness):
+        asked.append(with_witness)
+        return check(*args, with_witness=with_witness)
+
+    monkeypatch.setitem(submaj.cli._CHECKS, "sub", recording)
+    assert main(["check", "--relation", "sub", f, g]) == 0
+    assert main(["check", "--relation", "sub", f, g, "--emit-witness", str(tmp / "w.json")]) == 0
+    assert asked == [False, True]
+
+
+def test_internal_fault_exits_3(files, monkeypatch, capsys):
+    write, _ = files
+    f = write("f.json", {"dim": 1, "values": [1.0]})
+
+    def faulty(*args, **kwargs):
+        raise RuntimeError("stalled")
+
+    monkeypatch.setitem(submaj.cli._CHECKS, "weak", faulty)
+    assert main(["check", "--relation", "weak", f, f]) == 3
+    assert "internal error: stalled" in capsys.readouterr().err
 
 
 def test_check_json_output(files, capsys):

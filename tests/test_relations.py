@@ -1,7 +1,12 @@
 """Relation checks, witness constructions, permutation extraction, oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import submaj.matrices
+import submaj.relations
+from submaj.config import DEFAULT_CLASS_TOL
 from submaj.matrices import MatrixClass, apply, compose, vonneumann_complete
 from submaj.relations import (
     chain_product_from_parts,
@@ -174,6 +179,104 @@ class TestIntermediateH:
             h = intermediate_h(f, g)
             assert np.all(h.values >= f.values)
             assert check_majorize(h, g, with_witness=False).holds
+
+
+def _water_fill_reference(f, g):
+    """intermediate_h as the O(n^2) water-filling loop it was first written as."""
+    n = max(f.dim, g.dim)
+    fv = f.padded(n).values
+    order = np.argsort(-fv, kind="stable")
+    x = fv[order].copy()
+    target = np.cumsum(np.sort(g.padded(n).values)[::-1])
+    prefix = np.cumsum(x)
+    deficit = max(0.0, float(target[-1] - prefix[-1]))
+    for k in range(n):
+        if deficit <= 0:
+            break
+        raise_k = min(deficit, max(0.0, float(np.min(target[k:] - prefix[k:]))))
+        if raise_k > 0:
+            x[k] += raise_k
+            prefix[k:] += raise_k
+            deficit -= raise_k
+    h = np.empty(n)
+    h[order] = x
+    return np.maximum(h, fv)
+
+
+def test_closed_form_h_matches_water_filling_loop():
+    rng = np.random.default_rng(29)
+    for case in range(200):
+        m = int(rng.integers(1, 25))
+        g = random_nonneg_vector(rng, m).values * (rng.uniform(size=m) > 0.3)
+        fv = (random_doubly_substochastic(rng, m).data @ g) * (rng.uniform(size=m) > 0.3)
+        n = int(rng.integers(1, 30)) if case % 3 == 0 else m
+        f = NonNegVector(np.concatenate([fv, np.zeros(max(0, n - m))])[:n])  # truncating keeps f weakly below g
+        g = NonNegVector(g)
+        h = intermediate_h(f, g)
+        ref = _water_fill_reference(f, g)
+        assert h.dim == ref.size
+        assert np.max(np.abs(h.values - ref)) <= 1e-12 * max(1.0, g.total())
+
+
+@st.composite
+def _dyadic_pairs(draw):
+    """(f, g, permuted f, permuted g) with entries k / 64; f is drawn freely,
+    averaged from g over disjoint pairs, or scaled from g by k / 16."""
+    ints = st.lists(st.integers(0, 1024), min_size=1, max_size=12)
+    g = np.array(draw(ints), dtype=float) / 64
+    kind = draw(st.sampled_from(("free", "averaged", "scaled")))
+    if kind == "free":
+        f = np.array(draw(ints), dtype=float) / 64
+    else:
+        f = g[draw(st.permutations(range(g.size)))]
+        for i in range(0, f.size - 1, 2):
+            f[i] = f[i + 1] = (f[i] + f[i + 1]) / 2
+        if kind == "scaled":
+            f = f * np.array(draw(st.lists(st.integers(8, 16), min_size=f.size, max_size=f.size))) / 16
+    pf = f[draw(st.permutations(range(f.size)))]
+    pg = g[draw(st.permutations(range(g.size)))]
+    return tuple(NonNegVector(v) for v in (f, g, pf, pg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dyadic_pairs())
+def test_verdicts_are_permutation_invariant_and_witnesses_build(pair):
+    f, g, pf, pg = pair
+    n = max(f.dim, g.dim)
+    f2, g2 = f.padded(n).values, g.padded(n).values
+    bound = 2 * DEFAULT_CLASS_TOL + 4 * n * np.finfo(float).eps * g2.max()
+    for check, klass in (
+        (check_majorize, MatrixClass.DOUBLY_STOCHASTIC),
+        (check_weak_majorize, MatrixClass.DOUBLY_SUBSTOCHASTIC),
+        (check_submajorize, MatrixClass.DOUBLY_SUBSTOCHASTIC),
+    ):
+        verdict = check(f, g)
+        permuted = check(pf, pg, with_witness=False)
+        assert (permuted.holds, permuted.failed_index) == (verdict.holds, verdict.failed_index)
+        if not verdict.holds:
+            continue
+        w = verdict.witness
+        assert w.matrix_class.at_least(klass)
+        assert np.max(np.abs(w.data @ g2 - f2)) <= bound
+        if check is check_submajorize:
+            cert = verdict.certificate
+            assert cert.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
+            assert np.all(cert.completion.data >= w.data)
+            assert cert.steps == ()
+
+
+def test_submajorize_decides_once_and_runs_no_completion(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("check_submajorize must not call this")
+
+    for name in ("check_majorize", "check_weak_majorize", "hlp_witness", "intermediate_h", "weak_witness"):
+        monkeypatch.setattr(submaj.relations, name, forbidden)
+    monkeypatch.setattr(submaj.matrices, "vonneumann_complete", forbidden)
+    g = V(2, 0, 0.5)
+    verdict = check_submajorize(V(0.5, 0.25, 0.5), g)
+    assert verdict.holds
+    assert np.max(np.abs(verdict.witness.data @ g.values - [0.5, 0.25, 0.5])) <= 1e-12
+    assert verdict.certificate.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
 
 
 class TestWeakWitness:
