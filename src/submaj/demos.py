@@ -61,28 +61,26 @@ def shift_forcing(g: NonNegVector) -> ForcingResult:
         raise ValueError("shift forcing requires a strictly decreasing sequence")
     n = g.dim
 
-    free = -1.0
-    pinned = np.full((n, n), free)
-    pinned[0, :] = 0.0  # f(1) = 0 against positive g
+    # Per-row and per-column state stands in for the n x n grid: a cell is
+    # pinned once its row or its column is, and a pinned cell holds 1 exactly
+    # where its row's (and its column's) 1 sits.
+    free, zero = None, -1
+    row_one = [free] * n  # 0-based column of row k's 1; zero for an all-zero row
+    col_one = [free] * n  # 0-based row of column k's 1
+    row_one[0] = zero  # f(1) = 0 against positive g
     conclusion = FORCED_EQUALS_RIGHT_SHIFT
     for k in range(1, n):
-        if pinned[k, k - 1] == 0.0:
-            conclusion = FORCED_CONTRADICTION  # unreachable for admissible g
+        r, c = row_one[k], col_one[k - 1]
+        if (r is not free and r != k - 1) or (c is not free and c != k):
+            conclusion = FORCED_CONTRADICTION  # cell (k, k-1) pinned to 0; unreachable for admissible g
             break
-        pinned[k, :] = 0.0
-        pinned[k, k - 1] = 1.0
-        col = pinned[:, k - 1]
-        col[np.arange(n) != k] = 0.0
+        row_one[k] = k - 1
+        col_one[k - 1] = k
 
-    fully = not np.any(pinned == free)
+    fully = free not in row_one or free not in col_one  # a free cell needs a free row and column
     if not fully and conclusion == FORCED_EQUALS_RIGHT_SHIFT:
         conclusion = FORCED_UNDERDETERMINED
-    entries = {
-        (i + 1, j + 1): float(pinned[i, j])
-        for i in range(n)
-        for j in range(n)
-        if pinned[i, j] > 0
-    }
+    entries = {(i + 1, j + 1): 1.0 for i, j in enumerate(row_one) if j is not free and j != zero}
     return ForcingResult(
         forced=TruncatedOperator(rows=n, cols=n, entries=entries),
         fully_determined=fully,

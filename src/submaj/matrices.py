@@ -87,7 +87,11 @@ def classify_matrix(data, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
     Enlarging ``tol`` never demotes the class: every predicate is of the form
     "sum <= 1 + tol" or "|sum - 1| <= tol".
     """
-    arr = np.array(data, dtype=float, copy=True)
+    return _classify(np.array(data, dtype=float, copy=True), tol)
+
+
+def _classify(arr: np.ndarray, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
+    """:func:`classify_matrix` on a float array nobody else holds; it is frozen in place."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
     if arr.shape[0] < 1:
@@ -154,7 +158,11 @@ class IncreasabilityCertificate:
             raise ValueError("certificate base and completion must share a dimension")
         if self.completion.matrix_class is not MatrixClass.DOUBLY_STOCHASTIC:
             raise ValueError("certificate completion must be doubly stochastic")
-        if np.any(self.completion.data < self.base.data - DEFAULT_CLASS_TOL):
+        block = max(1, 2**14 // self.base.n)  # rows per comparison: no n x n temporary
+        if any(
+            np.any(self.completion.data[r : r + block] < self.base.data[r : r + block] - DEFAULT_CLASS_TOL)
+            for r in range(0, self.base.n, block)
+        ):
             raise ValueError("certificate completion must dominate the base entrywise")
 
     def to_json_dict(self) -> dict:

@@ -13,6 +13,7 @@ empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -169,7 +170,12 @@ class PreserverSpec:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Sparse rows x cols window of an operator: (i, j) -> positive entry."""
+    """Sparse rows x cols window of an operator: (i, j) -> positive entry.
+
+    Construction also fixes the coordinate arrays of the entries (1-based
+    int64 row and column indices and float values, in the order of
+    ``entries``); every method and classifier below runs on those arrays.
+    """
 
     rows: int
     cols: int
@@ -178,36 +184,59 @@ class TruncatedOperator:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("truncation must have at least one row and column")
-        clean: dict[tuple[int, int], float] = {}
-        for (i, j), v in self.entries.items():
-            if not (1 <= i <= self.rows and 1 <= j <= self.cols):
+        keys = list(self.entries)
+        nnz = len(keys)
+        ij = np.array(keys, dtype=float).reshape(nnz, 2)  # raises unless every key is a pair
+        v = np.fromiter(self.entries.values(), dtype=float, count=nnz)
+        outside = ~np.all((ij >= 1) & (ij <= (self.rows, self.cols)), axis=1)
+        bad = outside | ~(np.isfinite(v) & (v > 0))
+        if bad.any():
+            k = int(np.argmax(bad))  # the first offending entry in dict order
+            i, j = keys[k]
+            if outside[k]:
                 raise ValueError(f"entry ({i}, {j}) outside the {self.rows}x{self.cols} window")
-            v = float(v)
-            if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"entries must be finite and positive, got {v} at ({i}, {j})")
-            clean[(int(i), int(j))] = v
+            raise ValueError(f"entries must be finite and positive, got {float(v[k])} at ({i}, {j})")
+        i, j = ij.astype(np.int64).T
+        clean = dict(zip(zip(i.tolist(), j.tolist()), v.tolist()))
+        if len(clean) < nnz:  # non-integral keys truncated onto one cell: the last value wins
+            i, j = np.array(list(clean), dtype=np.int64).reshape(-1, 2).T
+            v = np.fromiter(clean.values(), dtype=float, count=len(clean))
+        for name, arr in (("_i", i), ("_j", j), ("_v", v)):
+            arr = np.ascontiguousarray(arr)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "entries", clean)
+
+    @cached_property
+    def _by_row(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row indices ascending, then column indices and values; dict order within a row."""
+        order = np.argsort(self._i, kind="stable")
+        return self._i[order], self._j[order], self._v[order]
+
+    @cached_property
+    def _by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column indices ascending, then row indices and values; dict order within a column."""
+        order = np.argsort(self._j, kind="stable")
+        return self._j[order], self._i[order], self._v[order]
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        for (i, j), v in self.entries.items():
-            out[i - 1, j - 1] = v
+        out[self._i - 1, self._j - 1] = self._v
         return out
 
     def apply(self, f: NonNegVector) -> NonNegVector:
         """Action on a vector of dimension ``cols``; output has dimension ``rows``."""
         if f.dim != self.cols:
             raise ValueError(f"dimension mismatch: operator has {self.cols} columns, vector dim {f.dim}")
-        out = np.zeros(self.rows)
-        for (i, j), v in self.entries.items():
-            out[i - 1] += v * f.values[j - 1]
-        return NonNegVector(out)
+        return NonNegVector(
+            np.bincount(self._i - 1, weights=self._v * f.values[self._j - 1], minlength=self.rows)
+        )
 
     def column(self, j: int) -> dict[int, float]:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+        return _group(self._by_column, j)
 
     def row(self, i: int) -> dict[int, float]:
-        return {j: v for (ii, j), v in self.entries.items() if ii == i}
+        return _group(self._by_row, i)
 
     def to_json_dict(self) -> dict:
         triplets = sorted((i, j, v) for (i, j), v in self.entries.items())
@@ -224,6 +253,13 @@ class TruncatedOperator:
             i, j, v = item
             entries[(int(i), int(j))] = float(v)
         return cls(rows=int(obj["rows"]), cols=int(obj["cols"]), entries=entries)
+
+
+def _group(view: tuple[np.ndarray, np.ndarray, np.ndarray], key: int) -> dict[int, float]:
+    """The entries under ``key`` of a view sorted by its first array."""
+    keys, other, values = view
+    lo, hi = np.searchsorted(keys, key, "left"), np.searchsorted(keys, key, "right")
+    return dict(zip(other[lo:hi].tolist(), values[lo:hi].tolist()))
 
 
 def apply_injection_operator(theta: Injection, f: NonNegVector) -> NonNegVector:
@@ -291,16 +327,18 @@ class PreserverVerdict:
 
 def _columns_share_multiset(t: TruncatedOperator, tol: float) -> Optional[str]:
     """Check all columns carry the same multiset of entries above tol."""
-    reference: Optional[list[float]] = None
-    for j in range(1, t.cols + 1):
-        values = sorted(v for v in t.column(j).values() if v > tol)
-        if reference is None:
-            reference = values
-            continue
-        if len(values) != len(reference) or any(
-            abs(a - b) > tol for a, b in zip(values, reference)
-        ):
-            return f"column {j} carries a different positive multiset than column 1"
+    keep = t._v > tol
+    order = np.lexsort((t._v[keep], t._j[keep]))  # by column, then by value
+    cols, values = t._j[keep][order], t._v[keep][order]
+    counts = np.bincount(cols - 1, minlength=t.cols)
+    rank = np.arange(cols.size) - (np.cumsum(counts) - counts)[cols - 1]
+    reference = values[: counts[0]]
+    bad = counts != counts[0]
+    same = ~bad[cols - 1]  # entries of columns as long as column 1, compared by rank
+    bad[cols[same][np.abs(values[same] - reference[rank[same]]) > tol] - 1] = True
+    bad[0] = False
+    if bad.any():
+        return f"column {int(np.argmax(bad)) + 1} carries a different positive multiset than column 1"
     return None
 
 
@@ -312,12 +350,11 @@ def classify_preserver_lp(t: TruncatedOperator, tol: float = DEFAULT_CLASS_TOL) 
     choose the truncation large enough that every column's support lies
     inside the window; a truncated tail is indistinguishable from zeros.
     """
-    per_row: dict[int, int] = {}
-    for (i, j), v in t.entries.items():
-        if v > tol:
-            per_row[i] = per_row.get(i, 0) + 1
-            if per_row[i] > 1:
-                return PreserverVerdict(False, f"row {i} has more than one positive entry")
+    rows = t._i[t._v > tol]
+    order = np.argsort(rows, kind="stable")
+    repeats = order[1:][np.diff(rows[order]) == 0]
+    if repeats.size:  # the row whose second positive entry comes first in entry order
+        return PreserverVerdict(False, f"row {int(rows[repeats.min()])} has more than one positive entry")
     mismatch = _columns_share_multiset(t, tol)
     if mismatch is not None:
         return PreserverVerdict(False, mismatch)
@@ -331,15 +368,16 @@ def classify_preserver_l1(t: TruncatedOperator, tol: float = DEFAULT_CLASS_TOL) 
     positive value in every column of the window; columns must share one
     positive multiset.  Same truncation caveat as the p > 1 classifier.
     """
-    rows_seen: set[int] = set(i for (i, _), v in t.entries.items() if v > tol)
-    for i in sorted(rows_seen):
-        row = {j: v for j, v in t.row(i).items() if v > tol}
-        if len(row) <= 1:
-            continue
-        values = list(row.values())
-        constant = max(values) - min(values) <= tol
-        full = len(row) == t.cols
-        if not (constant and full):
+    rows, _, values = t._by_row
+    keep = values > tol
+    rows, values = rows[keep], values[keep]
+    if rows.size:
+        starts = np.flatnonzero(np.diff(rows, prepend=0))
+        counts = np.diff(starts, append=rows.size)
+        spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+        bad = (counts > 1) & ~((spread <= tol) & (counts == t.cols))
+        if bad.any():
+            i = int(rows[starts[np.argmax(bad)]])
             return PreserverVerdict(
                 False,
                 f"row {i} is neither singleton-support nor constant across all columns",

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .config import DEFAULT_CLASS_TOL
-from .matrices import IncreasabilityCertificate, StochMatrix, classify_matrix
+from .matrices import IncreasabilityCertificate, StochMatrix, _classify
 from .vectors import NonNegVector, common_dim
 
 
@@ -181,7 +180,7 @@ def check_majorize(
     sf, sg, failed = _decide(f, g, tol, equal_totals=True)
     if failed is not None:
         return failed
-    witness = classify_matrix(_hlp_chain(sf, sg, tol)[1], tol) if with_witness else None
+    witness = _classify(_hlp_chain(sf, sg, tol)[1], tol) if with_witness else None
     return RelationVerdict(holds=True, witness=witness, message="majorization holds")
 
 
@@ -242,7 +241,7 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
         steps=steps,
         pre_perm=tuple((sg.order + 1).tolist()),
         post_perm=tuple((sf.order + 1).tolist()),
-        product=classify_matrix(product, tol),
+        product=_classify(product, tol),
     )
 
 
@@ -335,14 +334,14 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     f = sf.raw
     n = f.size
     if not np.any(f > 0):
-        return classify_matrix(np.zeros((n, n)), tol), classify_matrix(np.eye(n), tol)
+        return _classify(np.zeros((n, n)), tol), _classify(np.eye(n), tol)
     h = _raised(sf, sg)
-    # No name keeps the unclassified product, so at most three n x n arrays
-    # (D1, its scaled copy and W) are alive at once.
-    d1 = classify_matrix(_hlp_chain(_sort(h), sg, tol)[1], tol)
+    # _classify takes each fresh product as it is, so at most two n x n
+    # arrays (D1 and W) are alive at once.
+    d1 = _classify(_hlp_chain(_sort(h), sg, tol)[1], tol)
     safe = np.where(h > 0, h, 1.0)
     scales = np.clip(np.where(h > 0, f / safe, 1.0), 0.0, 1.0)
-    return classify_matrix(d1.data * scales[:, None], tol), d1
+    return _classify(d1.data * scales[:, None], tol), d1
 
 
 def strict_permutation(f: NonNegVector, g: NonNegVector, value_tol: float = 0.0) -> Optional[tuple[int, ...]]:
@@ -430,6 +429,8 @@ def oracle_majorize_bruteforce(
     else:
         a_ub = np.block([[-v, -ones]])
         b_ub = -fv
+
+    from scipy.optimize import linprog  # loaded here only: importing it dominates start-up
 
     res = linprog(
         c=np.concatenate([np.zeros(m), [1.0]]),

@@ -1,4 +1,6 @@
 """Worked examples: shift forcing, index-map formulas, reciprocal squares."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,28 @@ from submaj.matrices import shift_matrix
 from submaj.vectors import NonNegVector
 
 V = NonNegVector.of
+
+
+def _grid_shift_forcing(g):
+    """The n x n grid propagation shift_forcing replaced, kept as a reference."""
+    n = g.dim
+    free = -1.0
+    pinned = np.full((n, n), free)
+    pinned[0, :] = 0.0
+    conclusion = "equals-right-shift"
+    for k in range(1, n):
+        if pinned[k, k - 1] == 0.0:
+            conclusion = "contradiction"
+            break
+        pinned[k, :] = 0.0
+        pinned[k, k - 1] = 1.0
+        col = pinned[:, k - 1]
+        col[np.arange(n) != k] = 0.0
+    fully = not np.any(pinned == free)
+    if not fully and conclusion == "equals-right-shift":
+        conclusion = "underdetermined"
+    entries = {(i + 1, j + 1): float(pinned[i, j]) for i in range(n) for j in range(n) if pinned[i, j] > 0}
+    return entries, fully, conclusion
 
 
 class TestShiftForcing:
@@ -40,6 +64,30 @@ class TestShiftForcing:
         result = shift_forcing(V(2))
         assert result.forced.to_dense().tolist() == [[0]]
         assert result.fully_determined
+
+    def test_matches_grid_propagation(self):
+        rng = np.random.default_rng(42)
+        dims = [1, 2, 3] + [int(n) for n in rng.integers(4, 120, 40)]
+        for n in dims:
+            g = NonNegVector(np.cumsum(rng.uniform(1e-6, 2.0, n))[::-1].copy())
+            result = shift_forcing(g)
+            entries, fully, conclusion = _grid_shift_forcing(g)
+            assert list(result.forced.entries.items()) == list(entries.items())
+            assert result.forced.rows == result.forced.cols == n
+            assert (result.fully_determined, result.conclusion) == (fully, conclusion)
+
+    def test_scales_without_a_dense_grid(self):
+        n = 100_000
+        g = NonNegVector(np.arange(n, 0, -1, dtype=float))
+        tracemalloc.start()
+        try:
+            result = shift_forcing(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.fully_determined and result.conclusion == "equals-right-shift"
+        assert len(result.forced.entries) == n - 1 and result.forced.entries[(n, n - 1)] == 1.0
+        assert peak < 1e-3 * n * n * 8  # one n x n float grid would need 80 GB
 
     def test_matches_right_shift_for_many_dims(self):
         rng = np.random.default_rng(41)

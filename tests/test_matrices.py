@@ -58,6 +58,12 @@ class TestClassify:
             ranks = [classify_matrix(raw, tol).matrix_class.rank for tol in tols]
             assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
+    def test_public_classification_copies_its_input(self):
+        raw = np.array([[0.5, 0.25], [0.25, 0.5]])
+        m = classify_matrix(raw)
+        raw[0, 0] = 0.9
+        assert m.data[0, 0] == 0.5 and not m.data.flags.writeable and raw.flags.writeable
+
     def test_json_round_trip(self):
         m = shift_matrix(3, "left")
         back = StochMatrix.from_json_dict(m.to_json_dict())

@@ -131,6 +131,11 @@ class TestTruncatedOperator:
         with pytest.raises(ValueError, match="positive"):
             TruncatedOperator(rows=2, cols=2, entries={(1, 1): 0.0})
 
+    @pytest.mark.parametrize("entries", [{(1, 2, 3): 1.0}, {(1, 2): 1.0, (3,): 2.0}])
+    def test_rejects_keys_that_are_not_pairs(self, entries):
+        with pytest.raises(ValueError):
+            TruncatedOperator(rows=3, cols=3, entries=entries)
+
     def test_apply_matches_dense(self):
         t = TruncatedOperator(rows=3, cols=2, entries={(1, 1): 0.5, (3, 2): 2.0})
         f = V(2, 1)
@@ -339,3 +344,183 @@ class TestEmpiricalPreservation:
         assert not classify_preserver_lp(t).accepted
         f, g = V(1, 0), V(0, 1)  # f is a permutation of g, so f sub g holds
         assert not check_weak_majorize(t.apply(f), t.apply(g), with_witness=False).holds
+
+
+# ----------------------------------------------------------------------
+# Differential tests: the indexed TruncatedOperator against the dict scans
+# it replaced, kept here as reference copies.
+# ----------------------------------------------------------------------
+
+
+def _ref_clean(rows, cols, entries):
+    """The old constructor loop: the cleaned dict, or the error it raised."""
+    clean = {}
+    for (i, j), v in entries.items():
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            return f"entry ({i}, {j}) outside the {rows}x{cols} window"
+        v = float(v)
+        if not np.isfinite(v) or v <= 0:
+            return f"entries must be finite and positive, got {v} at ({i}, {j})"
+        clean[(int(i), int(j))] = v
+    return clean
+
+
+def _ref_column(t, j):
+    return {i: v for (i, jj), v in t.entries.items() if jj == j}
+
+
+def _ref_row(t, i):
+    return {j: v for (ii, j), v in t.entries.items() if ii == i}
+
+
+def _ref_apply(t, f):
+    out = np.zeros(t.rows)
+    for (i, j), v in t.entries.items():
+        out[i - 1] += v * f.values[j - 1]
+    return out
+
+
+def _ref_columns_share_multiset(t, tol):
+    reference = None
+    for j in range(1, t.cols + 1):
+        values = sorted(v for v in _ref_column(t, j).values() if v > tol)
+        if reference is None:
+            reference = values
+            continue
+        if len(values) != len(reference) or any(abs(a - b) > tol for a, b in zip(values, reference)):
+            return f"column {j} carries a different positive multiset than column 1"
+    return None
+
+
+def _ref_classify_lp(t, tol):
+    per_row = {}
+    for (i, j), v in t.entries.items():
+        if v > tol:
+            per_row[i] = per_row.get(i, 0) + 1
+            if per_row[i] > 1:
+                return False, f"row {i} has more than one positive entry"
+    mismatch = _ref_columns_share_multiset(t, tol)
+    if mismatch is not None:
+        return False, mismatch
+    return True, "rows are singletons and columns share one multiset"
+
+
+def _ref_classify_l1(t, tol):
+    for i in sorted(set(i for (i, _), v in t.entries.items() if v > tol)):
+        row = {j: v for j, v in _ref_row(t, i).items() if v > tol}
+        if len(row) <= 1:
+            continue
+        values = list(row.values())
+        if not (max(values) - min(values) <= tol and len(row) == t.cols):
+            return False, f"row {i} is neither singleton-support nor constant across all columns"
+    mismatch = _ref_columns_share_multiset(t, tol)
+    if mismatch is not None:
+        return False, mismatch
+    return True, "rows are singletons or constant and columns share one multiset"
+
+
+def _differential_operators(seed, count, tol=1e-9):
+    """Seeded operators near every classifier boundary, in shuffled entry order.
+
+    Cases cycle through: empty, one row, one column, disjoint injections,
+    injections plus constant rows, one perturbed entry, stray positives; the
+    values come from a pool holding ties, near-ties within +-tol, and values
+    at and around tol itself.
+    """
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.5, 0.5 + tol / 2, 0.5 - tol / 2, 0.5 + 3 * tol, 0.25, 1.0,
+                     tol, tol * (1 + 1e-6), tol * (1 - 1e-6), tol / 2, 2 * tol])
+    for case in range(count):
+        kind = case % 7
+        rows = 1 if kind == 1 else int(rng.integers(1, 14))
+        cols = 1 if kind == 2 else int(rng.integers(1, 7))
+        entries = {}
+        if kind != 0:
+            members = int(rng.integers(1, 4))
+            for _ in range(members):
+                w = float(rng.choice(pool))
+                targets = rng.permutation(rows)[:cols] + 1
+                for j, i in enumerate(targets, start=1):
+                    if rng.uniform() < 0.9:
+                        entries[(int(i), j)] = w * (1 + tol * rng.uniform(-1, 1)) if kind == 3 else w
+        if kind == 4:
+            for i in rng.choice(rows, size=min(rows, 2), replace=False) + 1:
+                c = float(rng.choice(pool))
+                for j in range(1, cols + 1 - int(rng.uniform() < 0.2)):
+                    entries[(int(i), j)] = c + (tol / 2 if rng.uniform() < 0.3 else 0.0)
+        if kind == 5 and entries:
+            key = list(entries)[int(rng.integers(len(entries)))]
+            entries[key] *= float(rng.choice([1.5, 1 + tol / 2, 1 + 2 * tol]))
+        if kind == 6:
+            for _ in range(int(rng.integers(1, 4))):
+                entries[(int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1)))] = float(rng.choice(pool))
+        keys = list(entries)
+        shuffled = {keys[k]: entries[keys[k]] for k in rng.permutation(len(keys))}
+        yield TruncatedOperator(rows=rows, cols=cols, entries=shuffled)
+
+
+class TestIndexedOperatorMatchesDictScans:
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3, -1.0])  # a negative tol keeps every entry
+    def test_classifiers_match_reference(self, tol):
+        verdicts = set()
+        for t in _differential_operators(seed=61, count=700):
+            for new, ref in ((classify_preserver_lp, _ref_classify_lp), (classify_preserver_l1, _ref_classify_l1)):
+                got = new(t, tol)
+                assert (got.accepted, got.reason) == ref(t, tol), t.entries
+                verdicts.add((new.__name__, got.reason.split(" ")[0]))
+        if tol == 1e-9:  # every branch of both classifiers was reached
+            for name in ("classify_preserver_lp", "classify_preserver_l1"):
+                assert {(name, "rows"), (name, "row"), (name, "column")} <= verdicts
+
+    def test_rows_columns_and_apply_match_reference(self):
+        rng = np.random.default_rng(62)
+        for t in _differential_operators(seed=63, count=300):
+            for i in range(0, t.rows + 2):
+                assert list(t.row(i).items()) == list(_ref_row(t, i).items())
+            for j in range(0, t.cols + 2):
+                assert list(t.column(j).items()) == list(_ref_column(t, j).items())
+            f = NonNegVector(rng.uniform(0, 3, t.cols) * (rng.uniform(size=t.cols) > 0.3))
+            expected = _ref_apply(t, f)
+            got = t.apply(f).values
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.abs(expected).sum())
+            dense = np.zeros((t.rows, t.cols))
+            for (i, j), v in t.entries.items():
+                dense[i - 1, j - 1] = v
+            assert np.array_equal(t.to_dense(), dense)
+
+    def test_entries_and_errors_match_reference(self):
+        rng = np.random.default_rng(64)
+        bad_keys = [(0, 1), (-1, 1), (1, 0), (99, 1), (1, 99), (2.5, 99)]
+        bad_values = [0.0, -0.5, float("nan"), float("inf"), -float("inf")]
+        raised = 0
+        for case in range(400):
+            rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            entries = {(int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))): float(rng.uniform(0.1, 1))
+                       for _ in range(int(rng.integers(0, 8)))}
+            for _ in range(int(rng.integers(0, 3))):
+                if rng.uniform() < 0.5:
+                    entries[bad_keys[int(rng.integers(len(bad_keys)))]] = 1.0
+                else:
+                    key = (int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1)))
+                    entries[key] = bad_values[int(rng.integers(len(bad_values)))]
+            keys = list(entries)
+            entries = {keys[k]: entries[keys[k]] for k in rng.permutation(len(keys))}
+            expected = _ref_clean(rows, cols, entries)
+            if isinstance(expected, str):
+                raised += 1
+                with pytest.raises(ValueError) as err:
+                    TruncatedOperator(rows=rows, cols=cols, entries=entries)
+                assert str(err.value) == expected
+            else:
+                t = TruncatedOperator(rows=rows, cols=cols, entries=entries)
+                assert list(t.entries.items()) == list(expected.items())
+                assert all(type(i) is int and type(j) is int and type(v) is float for (i, j), v in t.entries.items())
+        assert 50 < raised < 350
+
+    def test_float_and_numpy_keys_are_cleaned_like_before(self):
+        entries = {(np.int64(2), 1): np.float32(0.5), (1.0, 2): 3, (1.5, 2): 1.25}  # (1.5, 2) lands on (1, 2)
+        t = TruncatedOperator(rows=2, cols=2, entries=entries)
+        assert list(t.entries.items()) == list(_ref_clean(2, 2, entries).items()) == [((2, 1), 0.5), ((1, 2), 1.25)]
+        assert t.row(1) == {2: 1.25} and t.column(2) == {1: 1.25} and t.row(2) == {1: 0.5}
+        assert t.apply(V(1, 1)).values.tolist() == [1.25, 0.5]

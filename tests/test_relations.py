@@ -1,4 +1,10 @@
 """Relation checks, witness constructions, permutation extraction, oracle."""
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +285,23 @@ def test_submajorize_decides_once_and_runs_no_completion(monkeypatch):
     assert verdict.certificate.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
 
 
+def test_submajorize_keeps_two_dense_arrays_alive():
+    # W and its factor D1 are the only n x n arrays at the peak: classification
+    # takes the fresh products without copying, and the certificate compares
+    # them without an n x n temporary.
+    n = 400
+    g = NonNegVector(np.random.default_rng(71).uniform(0, 1, n))
+    f = NonNegVector(0.9 * g.values)
+    tracemalloc.start()
+    try:
+        verdict = check_submajorize(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.certificate is not None
+    assert peak < 2.5 * n * n * 8
+
+
 class TestWeakWitness:
     def test_row_scaled_witness_matches_derivation(self):
         d = weak_witness(V(0.5, 0.5), V(2, 0))
@@ -362,6 +385,20 @@ class TestOracle:
         assert not oracle_majorize_bruteforce(V(2, 0.5), V(2, 0), "weak")
         f = V(0.4, 1.1, 0.2)
         assert oracle_majorize_bruteforce(f, f, "strong")
+
+    def test_scipy_loads_only_with_the_oracle(self):
+        script = (
+            "import sys, submaj\n"
+            "assert 'scipy.optimize' not in sys.modules, 'import submaj loaded scipy.optimize'\n"
+            "V = submaj.NonNegVector.of\n"
+            "assert submaj.oracle_majorize_bruteforce(V(1, 1), V(2, 0), 'strong')\n"
+            "assert not submaj.oracle_majorize_bruteforce(V(2, 0.5), V(2, 0), 'weak')\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        src = str(Path(submaj.relations.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_dim_limit(self):
         big = NonNegVector(np.ones(7))
