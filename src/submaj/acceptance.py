@@ -14,11 +14,11 @@ import numpy as np
 from .config import DEFAULT_CLASS_TOL, DEFAULT_EXACT_TOL
 from .demos import (
     constant_row_support_index,
+    display_spec,
     quadratic_family,
     shift_forcing,
     theta_quadratic,
     theta_triangular,
-    triangular_constant_row,
     triangular_family,
 )
 from .matrices import (
@@ -40,6 +40,7 @@ from .preservers import (
     empirical_preservation_check,
     injection_matrix,
     preservation_rows_needed,
+    random_injection_family,
 )
 from .relations import (
     check_majorize,
@@ -52,7 +53,6 @@ from .relations import (
 from .sampling import (
     random_doubly_stochastic,
     random_doubly_substochastic,
-    random_injection_family,
     random_nonneg_vector,
     random_permutation_matrix,
 )
@@ -419,22 +419,7 @@ def expected_display_matrix(which: str) -> np.ndarray:
 
 def built_display_matrix(which: str) -> TruncatedOperator:
     """The same three operators produced by the builder."""
-    lam = _GOLD_LAMBDA
-    if which == "T1":
-        spec = PreserverSpec(p=2.0, weights=lam, family=quadratic_family(5, 5))
-    elif which == "T":
-        h = NonNegVector(np.array([_GOLD_A] + [0.0] * 15))
-        spec = PreserverSpec(p=1.0, weights=lam, family=quadratic_family(5, 5), constant_row=h)
-    elif which == "example2":
-        spec = PreserverSpec(
-            p=1.0,
-            weights=lam,
-            family=triangular_family(5, 5),
-            constant_row=triangular_constant_row(_GOLD_MU, 16),
-        )
-    else:
-        raise ValueError(f"unknown display matrix {which!r}")
-    return build_preserver(spec, rows=16, cols=5)
+    return build_preserver(display_spec(which, _GOLD_LAMBDA, _GOLD_A, _GOLD_MU, 16, 5), rows=16, cols=5)
 
 
 def criterion_golden_fixtures(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> CriterionResult:

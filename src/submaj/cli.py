@@ -19,13 +19,7 @@ import numpy as np
 
 from .acceptance import run_acceptance
 from .config import DEFAULT_CLASS_TOL, DEFAULT_EXACT_TOL, Config
-from .demos import (
-    quadratic_family,
-    reciprocal_square_example,
-    shift_forcing,
-    triangular_constant_row,
-    triangular_family,
-)
+from .demos import display_spec, reciprocal_square_example, shift_forcing
 from .matrices import MatrixClass, StochMatrix, vonneumann_complete
 from .preservers import (
     PreserverSpec,
@@ -221,34 +215,10 @@ def _cmd_demo_shift(args, cfg: Config) -> int:
     return 0
 
 
-def _display_spec(
-    which: str, lam: tuple[float, ...], a: float, mu: tuple[float, ...], rows: int, cols: int
-) -> PreserverSpec:
-    if which == "T1":
-        return PreserverSpec(p=2.0, weights=lam, family=quadratic_family(len(lam), cols))
-    if which == "T":
-        h = np.zeros(max(rows, 1))
-        h[0] = a
-        return PreserverSpec(
-            p=1.0,
-            weights=lam,
-            family=quadratic_family(len(lam), cols),
-            constant_row=NonNegVector(h),
-        )
-    if which == "example2":
-        return PreserverSpec(
-            p=1.0,
-            weights=lam,
-            family=triangular_family(len(lam), cols),
-            constant_row=triangular_constant_row(mu, rows),
-        )
-    raise InputError(f"unknown display matrix {which!r}")
-
-
 def _cmd_demo_paper_matrix(args, cfg: Config) -> int:
     lam = _load_weights(args.lam) if args.lam else (0.5, 0.25, 0.125, 0.0625, 0.03125)
     mu = _load_weights(args.mu) if args.mu else lam
-    spec = _display_spec(args.which, tuple(lam), args.a, tuple(mu), args.rows, args.cols)
+    spec = display_spec(args.which, tuple(lam), args.a, tuple(mu), args.rows, args.cols)
     op = build_preserver(spec, rows=args.rows, cols=args.cols)
     if cfg.output_mode == "json":
         print(json.dumps({"which": args.which, "operator": op.to_json_dict()}, indent=2))

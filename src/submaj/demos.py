@@ -3,8 +3,9 @@
 * Shift forcing: for a strictly decreasing positive g and f equal to g
   shifted right, the only doubly substochastic matrix with f = Dg is the
   right shift itself, recovered here by constraint propagation.
-* Two concrete injection families with closed-form index maps, whose
-  16x5 display matrices serve as golden fixtures.
+* Two concrete injection families with closed-form index maps, and the
+  paper's three display operators built from them (:func:`display_spec`),
+  whose 16x5 windows serve as golden fixtures.
 * The reciprocal-squares sequence, whose shift is mutually weakly majorized
   with it yet not its permutation in the untruncated sense.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from .config import DEFAULT_CLASS_TOL
 from .matrices import apply as matrix_apply
 from .matrices import shift_matrix
-from .preservers import Injection, InjectionFamily, TruncatedOperator
+from .preservers import Injection, InjectionFamily, PreserverSpec, TruncatedOperator
 from .relations import check_weak_majorize, strict_permutation
 from .vectors import NonNegVector
 
@@ -138,6 +139,36 @@ def triangular_constant_row(mu, dim: int) -> NonNegVector:
             break
         out[idx - 1] = float(value)
     return NonNegVector(out)
+
+
+def display_spec(
+    which: str, lam: tuple[float, ...], a: float, mu: tuple[float, ...], rows: int, cols: int
+) -> PreserverSpec:
+    """The paper's display operators on a rows x cols window.
+
+    ``T1`` is sum_k lam_k P_theta_k over the quadratic family (p = 2); ``T``
+    adds the constant row a at index 1 (p = 1); ``example2`` is the
+    triangular family plus the constant rows mu (p = 1).
+    """
+    if which == "T1":
+        return PreserverSpec(p=2.0, weights=lam, family=quadratic_family(len(lam), cols))
+    if which == "T":
+        h = np.zeros(max(rows, 1))
+        h[0] = a
+        return PreserverSpec(
+            p=1.0,
+            weights=lam,
+            family=quadratic_family(len(lam), cols),
+            constant_row=NonNegVector(h),
+        )
+    if which == "example2":
+        return PreserverSpec(
+            p=1.0,
+            weights=lam,
+            family=triangular_family(len(lam), cols),
+            constant_row=triangular_constant_row(mu, rows),
+        )
+    raise ValueError(f"unknown display matrix {which!r}")
 
 
 @dataclass(frozen=True, eq=False)

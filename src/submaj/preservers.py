@@ -19,13 +19,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import DEFAULT_CLASS_TOL, DEFAULT_EXACT_TOL
-from .matrices import (
-    IncreasabilityCertificate,
-    classify_matrix,
-    decompose_increasable,
-    vonneumann_complete,
-)
+from .matrices import IncreasabilityCertificate, decompose_increasable, vonneumann_complete
 from .relations import check_weak_majorize
+from .sampling import random_doubly_substochastic, random_nonneg_vector
 from .vectors import NonNegVector
 
 
@@ -81,6 +77,18 @@ class InjectionFamily:
         for m in self.members:
             out.update(m.mapping)
         return frozenset(out)
+
+
+def random_injection_family(
+    rng: np.random.Generator, members: int, domain_dim: int, truncate: int
+) -> InjectionFamily:
+    """Disjoint-image injections from {1..domain_dim} into {1..truncate}."""
+    need = members * domain_dim
+    if need > truncate:
+        raise ValueError(f"cannot fit {need} disjoint image points into 1..{truncate}")
+    targets = rng.choice(truncate, size=need, replace=False) + 1
+    parts = targets.reshape(members, domain_dim)
+    return InjectionFamily(tuple(Injection(tuple(int(t) for t in row)) for row in parts))
 
 
 class FamilyCollision(NamedTuple):
@@ -414,8 +422,9 @@ def construct_S(
     check = validate_family(family)
     if not check.valid:
         raise ValueError(f"injection images must be pairwise disjoint: {check.collision}")
-    n = truncate if truncate is not None else max(family.union_image())
-    top = max(family.union_image())
+    images = family.union_image()
+    top = max(images)
+    n = truncate if truncate is not None else top
     if top > n:
         raise ValueError(f"injection image {top} exceeds the truncation {n}")
 
@@ -429,17 +438,19 @@ def construct_S(
                 if v > 0:
                     entries[(member.mapping[r - 1], member.mapping[c - 1])] = v
     outside = 1.0 - a
-    images = family.union_image()
     if outside > 0:
         for i in range(1, n + 1):
             if i not in images:
                 entries[(i, i)] = outside
     s = TruncatedOperator(rows=n, cols=n, entries=entries)
 
+    # P_theta D places D's rows at rows theta; S P_theta is S's columns theta.
     s_dense = s.to_dense()
     for member in family.members:
-        p_theta = injection_matrix(member, rows=n, cols=m).to_dense()
-        gap = float(np.max(np.abs(p_theta @ cert.base.data - s_dense @ p_theta)))
+        theta = np.asarray(member.mapping) - 1
+        p_theta_d = np.zeros((n, m))
+        p_theta_d[theta] = cert.base.data
+        gap = float(np.max(np.abs(p_theta_d - s_dense[:, theta])))
         if gap > check_tol:
             raise RuntimeError(f"intertwining identity violated by {gap:.3e}")
     return s
@@ -500,10 +511,8 @@ def empirical_preservation_check(
     first: Optional[CounterexamplePair] = None
     for trial, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(ss)
-        g = NonNegVector(rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) > 0.2))
-        raw = rng.uniform(0.0, 1.0, size=(n, n))
-        cap = max(raw.sum(axis=0).max(), raw.sum(axis=1).max(), 1e-12)
-        d = classify_matrix(raw / cap * rng.uniform(0.5, 1.0), tol)
+        g = random_nonneg_vector(rng, n)
+        d = random_doubly_substochastic(rng, n, tol)
         vonneumann_complete(d, tol)  # certifies the witness is increasable
         f = NonNegVector(d.data @ g.values)
         ok = check_weak_majorize(t.apply(f), t.apply(g), tol, with_witness=False).holds

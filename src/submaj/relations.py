@@ -364,18 +364,16 @@ def partial_permutation(
 ) -> Optional[dict[int, int]]:
     """Support bijection {f-index: g-index} (1-based), or None.
 
-    Exists iff the multisets of strictly positive values coincide.
+    Exists iff the multisets of strictly positive values coincide (entrywise
+    within ``value_tol`` after sorting).  Ties are matched by ascending index.
     """
-    fpos = [i for i in range(f.dim) if f.values[i] > 0]
-    gpos = [i for i in range(g.dim) if g.values[i] > 0]
-    if len(fpos) != len(gpos):
+    k = int(np.count_nonzero(f.values > 0))
+    if k != np.count_nonzero(g.values > 0):
         return None
-    fpos.sort(key=lambda i: (-f.values[i], i))
-    gpos.sort(key=lambda i: (-g.values[i], i))
-    for a, b in zip(fpos, gpos):
-        if abs(f.values[a] - g.values[b]) > value_tol:
-            return None
-    return {a + 1: b + 1 for a, b in zip(fpos, gpos)}
+    sf, sg = _sort(f.values), _sort(g.values)  # positives form the sorted prefix
+    if np.any(np.abs(sf.values[:k] - sg.values[:k]) > value_tol):
+        return None
+    return dict(zip((sf.order[:k] + 1).tolist(), (sg.order[:k] + 1).tolist()))
 
 
 def permutation_between(f: NonNegVector, g: NonNegVector, mode: str = "strict"):

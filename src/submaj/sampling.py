@@ -1,7 +1,8 @@
 """Seeded random generators for tests, fuzzing and the selftest battery.
 
-All sampling flows from numpy ``SeedSequence`` spawning, so serial and
-parallel runs of the same master seed draw identical instances.
+Every generator draws from the ``numpy.random.Generator`` it is given, so a
+caller that seeds its generators (the fuzzer spawns one per trial from a
+``SeedSequence``) draws identical instances on every run.
 """
 from __future__ import annotations
 
@@ -9,12 +10,7 @@ import numpy as np
 
 from .config import DEFAULT_CLASS_TOL
 from .matrices import StochMatrix, classify_matrix
-from .preservers import Injection, InjectionFamily
 from .vectors import NonNegVector
-
-
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
 def random_nonneg_vector(rng: np.random.Generator, dim: int, zero_frac: float = 0.2) -> NonNegVector:
@@ -51,15 +47,3 @@ def random_doubly_stochastic(
     for w in weights:
         data += w * random_permutation_matrix(rng, n).data
     return classify_matrix(data, tol)
-
-
-def random_injection_family(
-    rng: np.random.Generator, members: int, domain_dim: int, truncate: int
-) -> InjectionFamily:
-    """Disjoint-image injections from {1..domain_dim} into {1..truncate}."""
-    need = members * domain_dim
-    if need > truncate:
-        raise ValueError(f"cannot fit {need} disjoint image points into 1..{truncate}")
-    targets = rng.choice(truncate, size=need, replace=False) + 1
-    parts = targets.reshape(members, domain_dim)
-    return InjectionFamily(tuple(Injection(tuple(int(t) for t in row)) for row in parts))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import submaj.cli
+from submaj.acceptance import expected_display_matrix
 from submaj.cli import main
 from submaj.matrices import StochMatrix
 from submaj.preservers import TruncatedOperator
@@ -210,6 +211,26 @@ def test_demo_paper_matrix_custom_lambda(files, capsys):
     dense = TruncatedOperator.from_json_dict(payload["operator"]).to_dense()
     assert np.all(dense[0] == 0.4)
     assert dense[1, 0] == 0.9 and dense[3, 0] == 0.1
+
+
+def test_demo_paper_matrix_example2_matches_reference(files, capsys):
+    write, _ = files
+    mu = write("mu.json", [0.9, 0.8, 0.7, 0.6])  # the reference fixture's constant rows
+    assert main(["--json", "demo", "paper-matrix", "--which", "example2", "--mu", mu]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    dense = TruncatedOperator.from_json_dict(payload["operator"]).to_dense()
+    assert np.array_equal(dense, expected_display_matrix("example2"))
+
+
+def test_demo_paper_matrix_t_on_a_wider_window(files, capsys):
+    window = ["--rows", "20", "--cols", "7"]
+    assert main(["--json", "demo", "paper-matrix", "--which", "T", "--a", "0.7", *window]) == 0
+    t = TruncatedOperator.from_json_dict(json.loads(capsys.readouterr().out)["operator"]).to_dense()
+    assert main(["--json", "demo", "paper-matrix", "--which", "T1", *window]) == 0
+    t1 = TruncatedOperator.from_json_dict(json.loads(capsys.readouterr().out)["operator"]).to_dense()
+    assert t.shape == t1.shape == (20, 7)
+    assert np.all(t[0] == 0.7) and np.all(t1[0] == 0)
+    assert np.array_equal(t[1:], t1[1:])  # a sits in row 1 only
 
 
 def test_demo_recip_square(files, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from submaj.demos import (
     constant_row_support_index,
+    display_spec,
     quadratic_family,
     reciprocal_square_example,
     shift_forcing,
@@ -132,6 +133,10 @@ class TestThetaFormulas:
         family = triangular_family(8, 30)
         for member in family.members:
             assert not (support & set(member.mapping))
+
+    def test_display_spec_rejects_unknown_operator(self):
+        with pytest.raises(ValueError, match="unknown display matrix"):
+            display_spec("T2", (0.5,), 1.0, (0.5,), 16, 5)
 
 
 class TestReciprocalSquareExample:

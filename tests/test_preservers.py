@@ -18,10 +18,11 @@ from submaj.preservers import (
     empirical_preservation_check,
     identity_injection,
     injection_matrix,
+    random_injection_family,
     validate_family,
 )
 from submaj.relations import check_weak_majorize
-from submaj.sampling import random_doubly_substochastic, random_injection_family
+from submaj.sampling import random_doubly_substochastic
 from submaj.vectors import NonNegVector, p_norm
 
 V = NonNegVector.of
@@ -308,6 +309,12 @@ class TestConstructS:
                 p_theta = injection_matrix(member, rows=n, cols=m).to_dense()
                 gap = np.max(np.abs(p_theta @ cert.base.data - s_dense @ p_theta))
                 assert gap <= 1e-12
+
+    def test_self_check_raises_when_the_identity_is_violated(self):
+        # A negative tolerance fails even a zero gap, so the check must run.
+        cert = vonneumann_complete(classify_matrix([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(RuntimeError, match="intertwining identity violated"):
+            construct_S(cert, InjectionFamily((Injection((3, 1)),)), a=0.2, check_tol=-1.0)
 
     def test_rejects_bad_a(self):
         cert = vonneumann_complete(classify_matrix([[1.0]]))

@@ -38,6 +38,20 @@ from submaj.vectors import NonNegVector
 V = NonNegVector.of
 
 
+def _partial_permutation_loop(f, g, value_tol):
+    """The list-sort loop partial_permutation replaced, kept as a reference."""
+    fpos = [i for i in range(f.dim) if f.values[i] > 0]
+    gpos = [i for i in range(g.dim) if g.values[i] > 0]
+    if len(fpos) != len(gpos):
+        return None
+    fpos.sort(key=lambda i: (-f.values[i], i))
+    gpos.sort(key=lambda i: (-g.values[i], i))
+    for a, b in zip(fpos, gpos):
+        if abs(f.values[a] - g.values[b]) > value_tol:
+            return None
+    return {a + 1: b + 1 for a, b in zip(fpos, gpos)}
+
+
 class TestCheckMajorize:
     def test_averaged_pair_holds_with_witness(self):
         verdict = check_majorize(V(1, 1), V(2, 0))
@@ -363,6 +377,29 @@ class TestPermutations:
 
     def test_partial_ignores_zeros(self):
         assert partial_permutation(V(0, 5, 0), V(5, 0, 0)) == {2: 1}
+
+    def test_partial_matches_list_sort_reference(self):
+        # Half-integer values give ties and exact zeros; g reuses f's positives
+        # (shuffled, some shifted by 0.5, zeros added) in unequal dimensions.
+        rng = np.random.default_rng(43)
+        outcomes = set()
+        for _ in range(1500):
+            f = NonNegVector(rng.integers(0, 5, size=int(rng.integers(1, 9))) / 2)
+            if rng.uniform() < 0.75:
+                pos = rng.permutation(f.values[f.values > 0])
+                pos = pos + 0.5 * (rng.uniform(size=pos.size) < 0.15)
+                g_vals = np.concatenate([pos, np.zeros(int(rng.integers(0, 4)))])
+                g = NonNegVector(rng.permutation(g_vals) if g_vals.size else np.zeros(1))
+            else:
+                g = NonNegVector(rng.integers(0, 5, size=int(rng.integers(1, 9))) / 2)
+            for value_tol in (0.0, 0.6):
+                want = _partial_permutation_loop(f, g, value_tol)
+                got = partial_permutation(f, g, value_tol)
+                assert got == want
+                if want is not None:
+                    assert list(got.items()) == list(want.items())  # same order too
+                outcomes.add((value_tol, want is None, f.dim == g.dim))
+        assert len(outcomes) == 8  # every tolerance meets maps and None, in equal and unequal dims
 
     def test_mode_dispatch_validates(self):
         with pytest.raises(ValueError, match="mode"):
