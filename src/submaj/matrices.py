@@ -202,11 +202,11 @@ def vonneumann_complete(
 ) -> IncreasabilityCertificate:
     """Greedily raise a doubly substochastic matrix to a doubly stochastic one.
 
-    Repeatedly picks the smallest row index with a row-sum deficiency and the
-    smallest column index with a column-sum deficiency, and adds the smaller
-    of the two deficiencies at that position.  Each step zeroes at least one
-    deficiency exactly, so at most 2n-1 steps run.  ``aug_tol`` is the
-    deficiency threshold that keeps augmenting (well below ``tol`` so that the
+    Repeatedly adds the smaller of the two deficiencies at the first row and
+    the first column whose sums fall short.  Each step zeroes at least one
+    deficiency exactly, so at most 2n-1 steps run, and deficiencies only
+    fall, so both indices only move forward.  ``aug_tol`` is the deficiency
+    threshold that keeps augmenting (well below ``tol`` so that the
     completion is comfortably doubly stochastic at the class tolerance).
 
     Raises ValueError if the input is not doubly substochastic at ``tol``.
@@ -215,16 +215,16 @@ def vonneumann_complete(
         raise ValueError("completion requires a doubly substochastic input")
 
     a = d.data.copy()
-    r = 1.0 - d.row_sums.copy()  # row deficiencies
-    c = 1.0 - d.col_sums.copy()  # column deficiencies
+    r, c = (1.0 - d.row_sums).tolist(), (1.0 - d.col_sums).tolist()  # deficiencies
     steps: list[AugmentationStep] = []
+    n, i, j = len(r), 0, 0
     while True:
-        rows_open = np.nonzero(r > aug_tol)[0]
-        cols_open = np.nonzero(c > aug_tol)[0]
-        if rows_open.size == 0 or cols_open.size == 0:
+        while i < n and r[i] <= aug_tol:
+            i += 1
+        while j < n and c[j] <= aug_tol:
+            j += 1
+        if i == n or j == n:
             break
-        i = int(rows_open[0])
-        j = int(cols_open[0])
         t = min(r[i], c[j])
         a[i, j] += t
         r[i] -= t

@@ -19,6 +19,9 @@ witness is W = diag(s) D1 with 0 <= s <= 1 and D1 doubly stochastic.  D1
 dominates W entrywise, so D1 is the submajorization certificate, and its
 ``steps`` is empty (no greedy completion runs).  Each call sorts every
 vector once and decides once; the witness is built from that sorted data.
+A chain's product is written once, directly in original coordinates, by
+mixing rows of a permutation matrix in place: O(n) per step, O(n * steps)
+in all, with the n x n result as the only dense array.
 """
 from __future__ import annotations
 
@@ -102,32 +105,24 @@ class TTransformChain:
         }
 
 
-def t_transform_matrix(n: int, step: TTransformStep) -> np.ndarray:
-    """Dense matrix of a single T-transform step."""
-    m = np.eye(n)
-    i, j, t = step.i - 1, step.j - 1, step.t
-    m[i, i] = 1 - t
-    m[i, j] = t
-    m[j, i] = t
-    m[j, j] = 1 - t
-    return m
-
-
-def _perm_matrix(perm: tuple[int, ...]) -> np.ndarray:
-    n = len(perm)
-    p = np.zeros((n, n))
-    for k, target in enumerate(perm):
-        p[k, target - 1] = 1.0
-    return p
-
-
 def chain_product_from_parts(chain: TTransformChain) -> np.ndarray:
-    """Rebuild the witness from steps and sort permutations (for audits)."""
-    n = chain.product.n
-    acc = np.eye(n)
-    for step in chain.steps:
-        acc = t_transform_matrix(n, step) @ acc
-    return _perm_matrix(chain.post_perm).T @ acc @ _perm_matrix(chain.pre_perm)
+    """Rebuild the witness from steps and sort permutations (for audits), in O(n * steps)."""
+    return _chain_product(chain.steps, np.asarray(chain.post_perm) - 1, np.asarray(chain.pre_perm) - 1)
+
+
+def _chain_product(steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """P_f^T (T_m ... T_1) P_g for the 0-based sort orders ``rows`` of f and ``cols`` of g.
+
+    Starts from the permutation matrix with out[rows[k], cols[k]] = 1.  A step
+    mixing sorted rows i and j is the same mix of the rows they land on,
+    rows[i-1] and rows[j-1], so every step updates the result in place.
+    """
+    out = np.zeros((len(rows), len(rows)))
+    out[rows, cols] = 1.0
+    for i, j, t in steps:
+        a, b = rows[i - 1], rows[j - 1]
+        out[a], out[b] = (1 - t) * out[a] + t * out[b], t * out[a] + (1 - t) * out[b]
+    return out
 
 
 class _Sorted(NamedTuple):
@@ -170,6 +165,15 @@ def _decide(
     return sf, sg, RelationVerdict(holds=False, failed_index=k + 1, message=message)
 
 
+def _require(f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool) -> tuple[_Sorted, _Sorted]:
+    """:func:`_decide` for the witness constructors: raise their precondition error on failure."""
+    sf, sg, failed = _decide(f, g, tol, equal_totals)
+    if failed is not None:
+        relation = "majorization" if equal_totals else "weak majorization"
+        raise ValueError(f"{relation} precondition fails: {failed.message}")
+    return sf, sg
+
+
 def check_majorize(
     f: NonNegVector,
     g: NonNegVector,
@@ -180,7 +184,7 @@ def check_majorize(
     sf, sg, failed = _decide(f, g, tol, equal_totals=True)
     if failed is not None:
         return failed
-    witness = _classify(_hlp_chain(sf, sg, tol)[1], tol) if with_witness else None
+    witness = _hlp_product(sf, sg, tol) if with_witness else None
     return RelationVerdict(holds=True, witness=witness, message="majorization holds")
 
 
@@ -230,29 +234,27 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
     target x = f-sorted, pick j as the last position with y[j] > x[j] and k
     as the first later position with y[k] < x[k]; mixing (j, k) by
     t = delta / (y[j] - y[k]) with delta = min(y[j]-x[j], x[k]-y[k]) moves y
-    closer while pinning at least one more coordinate exactly.  The final
-    product is un-sorted through both rearrangement permutations.
+    closer while pinning at least one more coordinate exactly.  The product
+    is written in original coordinates through both rearrangement
+    permutations.
     """
-    sf, sg, failed = _decide(f, g, tol, equal_totals=True)
-    if failed is not None:
-        raise ValueError(f"majorization precondition fails: {failed.message}")
-    steps, product = _hlp_chain(sf, sg, tol)
+    sf, sg = _require(f, g, tol, equal_totals=True)
+    steps = _hlp_chain(sf, sg, tol)
     return TTransformChain(
         steps=steps,
         pre_perm=tuple((sg.order + 1).tolist()),
         post_perm=tuple((sf.order + 1).tolist()),
-        product=_classify(product, tol),
+        product=_classify(_chain_product(steps, sf.order, sg.order), tol),
     )
 
 
-def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[TTransformStep, ...], np.ndarray]:
-    """The steps of :func:`hlp_witness` and their product in original coordinates."""
+def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[TTransformStep, ...]:
+    """The steps of :func:`hlp_witness`, on sorted coordinates."""
     x = sf.values
     y = sg.values.copy()
     scale = max(1.0, float(y.max(initial=0.0)))
     eps = 1e-12 * scale
 
-    acc = np.eye(x.size)
     steps: list[TTransformStep] = []
     while True:
         d = y - x
@@ -275,17 +277,13 @@ def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[TTransformSt
         else:
             y[j] -= delta
             y[k] = x[k]  # pin exactly
-        row_j = acc[j].copy()
-        row_k = acc[k].copy()
-        acc[j] = (1 - t) * row_j + t * row_k
-        acc[k] = t * row_j + (1 - t) * row_k
         steps.append(TTransformStep(j + 1, k + 1, float(t)))
+    return tuple(steps)
 
-    # Un-sort: product = P_f^T (T_m ... T_1) P_g, so sorted row r lands on
-    # f's position order[r] and sorted column c on g's position order[c].
-    full = np.empty_like(acc)
-    full[np.ix_(sf.order, sg.order)] = acc
-    return tuple(steps), full
+
+def _hlp_product(sf: _Sorted, sg: _Sorted, tol: float) -> StochMatrix:
+    """The product of the :func:`hlp_witness` chain, classified."""
+    return _classify(_chain_product(_hlp_chain(sf, sg, tol), sf.order, sg.order), tol)
 
 
 def intermediate_h(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL) -> NonNegVector:
@@ -295,10 +293,7 @@ def intermediate_h(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_
     capping each raise by the remaining sorted-partial-sum headroom of g, so
     dominance is preserved at every prefix and the result is deterministic.
     """
-    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
-    if failed is not None:
-        raise ValueError(f"weak majorization precondition fails: {failed.message}")
-    return NonNegVector(_raised(sf, sg))
+    return NonNegVector(_raised(*_require(f, g, tol, equal_totals=False)))
 
 
 def _raised(sf: _Sorted, sg: _Sorted) -> np.ndarray:
@@ -322,10 +317,7 @@ def weak_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TO
     already reproduce f(i) = 0 and keep scale 1).  The all-zero f gets the
     zero matrix directly.
     """
-    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
-    if failed is not None:
-        raise ValueError(f"weak majorization precondition fails: {failed.message}")
-    return _weak_factors(sf, sg, tol)[0]
+    return _weak_factors(*_require(f, g, tol, equal_totals=False), tol)[0]
 
 
 def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, StochMatrix]:
@@ -338,7 +330,7 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     h = _raised(sf, sg)
     # _classify takes each fresh product as it is, so at most two n x n
     # arrays (D1 and W) are alive at once.
-    d1 = _classify(_hlp_chain(_sort(h), sg, tol)[1], tol)
+    d1 = _hlp_product(_sort(h), sg, tol)
     safe = np.where(h > 0, h, 1.0)
     scales = np.clip(np.where(h > 0, f / safe, 1.0), 0.0, 1.0)
     return _classify(d1.data * scales[:, None], tol), d1

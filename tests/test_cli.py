@@ -10,6 +10,7 @@ from submaj.cli import main
 from submaj.matrices import StochMatrix
 from submaj.preservers import TruncatedOperator
 from submaj.relations import chain_product_from_parts, TTransformChain, TTransformStep
+from test_relations import dense_chain_product_reference
 
 
 @pytest.fixture()
@@ -128,7 +129,9 @@ def test_witness_chain_reconstructs(files, capsys):
         product=StochMatrix.from_json_dict(payload["product"]),
     )
     assert len(chain.steps) <= 2
-    assert np.max(np.abs(chain_product_from_parts(chain) - chain.product.data)) <= 1e-12
+    reference = dense_chain_product_reference(chain)
+    assert np.max(np.abs(chain.product.data - reference)) <= 1e-12
+    assert np.max(np.abs(chain_product_from_parts(chain) - reference)) <= 1e-12
 
 
 def test_witness_fails_when_relation_fails(files, capsys):

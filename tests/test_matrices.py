@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from submaj.config import DEFAULT_EXACT_TOL
 from submaj.matrices import (
     IncreasabilityCertificate,
     MatrixClass,
@@ -20,6 +21,28 @@ from submaj.matrices import (
 )
 from submaj.sampling import random_doubly_stochastic, random_doubly_substochastic
 from submaj.vectors import NonNegVector
+
+
+def _nonzero_scan_completion(d, aug_tol=DEFAULT_EXACT_TOL):
+    """The greedy loop that rescanned both deficiency vectors with np.nonzero
+    on every step, kept as a reference for the pointer loop."""
+    a = d.data.copy()
+    r = 1.0 - d.row_sums.copy()
+    c = 1.0 - d.col_sums.copy()
+    steps = []
+    while True:
+        rows_open = np.nonzero(r > aug_tol)[0]
+        cols_open = np.nonzero(c > aug_tol)[0]
+        if rows_open.size == 0 or cols_open.size == 0:
+            break
+        i = int(rows_open[0])
+        j = int(cols_open[0])
+        t = min(r[i], c[j])
+        a[i, j] += t
+        r[i] -= t
+        c[j] -= t
+        steps.append((i + 1, j + 1, float(t)))
+    return tuple(steps), a
 
 
 class TestClassify:
@@ -122,6 +145,30 @@ class TestCompletion:
             assert cert.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
             assert np.all(cert.completion.data >= d.data)
             assert len(cert.steps) <= 2 * n - 1
+
+    def test_pointer_loop_matches_the_nonzero_scans(self):
+        # Substochastic samples (with exact zeros and full rows), doubly
+        # stochastic inputs, some shrunk so that their deficiencies straddle
+        # aug_tol, shifts and zero matrices, n from 1 to 39.
+        rng = np.random.default_rng(5)
+        for case in range(1200):
+            n = int(rng.integers(1, 40))
+            kind = case % 6
+            if kind == 0:
+                d = random_doubly_stochastic(rng, n)
+            elif kind == 5:
+                shrink = 1 - 10 ** rng.uniform(-15, -11, size=(n, 1))
+                d = classify_matrix(random_doubly_stochastic(rng, n).data * shrink)
+            elif kind == 1:
+                d = shift_matrix(n, "left" if rng.uniform() < 0.5 else "right")
+            elif kind == 2:
+                d = zero_matrix(n)
+            else:
+                d = random_doubly_substochastic(rng, n)
+            cert = vonneumann_complete(d)
+            steps, completion = _nonzero_scan_completion(d)
+            assert [tuple(s) for s in cert.steps] == list(steps)
+            assert np.array_equal(cert.completion.data, completion)
 
     def test_certificate_json_round_trip(self):
         cert = vonneumann_complete(classify_matrix([[0.0, 0.5], [0.5, 0.0]]))

@@ -5,6 +5,7 @@ import pytest
 from submaj.demos import quadratic_family, triangular_constant_row, triangular_family
 from submaj.matrices import classify_matrix, vonneumann_complete
 from submaj.preservers import (
+    _intertwining_gap,
     Injection,
     InjectionFamily,
     PreserverSpec,
@@ -309,6 +310,26 @@ class TestConstructS:
                 p_theta = injection_matrix(member, rows=n, cols=m).to_dense()
                 gap = np.max(np.abs(p_theta @ cert.base.data - s_dense @ p_theta))
                 assert gap <= 1e-12
+
+    def test_gap_matches_the_dense_check(self):
+        # The gap read off S's coordinate arrays equals, bit for bit, the one
+        # the dense S gave; a second, unrelated D gives gaps far from zero.
+        rng = np.random.default_rng(35)
+        for _ in range(1500):
+            m = int(rng.integers(1, 8))
+            members = int(rng.integers(1, 4))
+            n = int(rng.integers(members * m, members * m + 10))
+            family = random_injection_family(rng, members, m, n)
+            cert = vonneumann_complete(random_doubly_substochastic(rng, m))
+            s = construct_S(cert, family, float(rng.uniform()), truncate=n)
+            s_dense = s.to_dense()
+            for d in (cert.base.data, random_doubly_substochastic(rng, m).data):
+                for member in family.members:
+                    theta = np.asarray(member.mapping) - 1
+                    p_theta_d = np.zeros((n, m))
+                    p_theta_d[theta] = d
+                    want = float(np.max(np.abs(p_theta_d - s_dense[:, theta])))
+                    assert _intertwining_gap(s, theta, d) == want
 
     def test_self_check_raises_when_the_identity_is_violated(self):
         # A negative tolerance fails even a zero gap, so the check must run.

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import submaj.matrices
 import submaj.relations
 from submaj.config import DEFAULT_CLASS_TOL
-from submaj.matrices import MatrixClass, apply, compose, vonneumann_complete
+from submaj.matrices import MatrixClass, _classify, apply, compose, vonneumann_complete
 from submaj.relations import (
     chain_product_from_parts,
     check_majorize,
@@ -36,6 +36,69 @@ from submaj.sampling import (
 from submaj.vectors import NonNegVector
 
 V = NonNegVector.of
+
+
+def _t_transform_matrix(n, step):
+    m = np.eye(n)
+    i, j, t = step.i - 1, step.j - 1, step.t
+    m[i, i] = m[j, j] = 1 - t
+    m[i, j] = m[j, i] = t
+    return m
+
+
+def _perm_matrix(perm):
+    p = np.zeros((len(perm), len(perm)))
+    p[np.arange(len(perm)), np.asarray(perm) - 1] = 1.0
+    return p
+
+
+def dense_chain_product_reference(chain):
+    """P_post^T (T_m ... T_1) P_pre from dense matrices, O(n^3) per step: a
+    reference that shares no code with the in-place builder."""
+    acc = np.eye(chain.product.n)
+    for step in chain.steps:
+        acc = _t_transform_matrix(chain.product.n, step) @ acc
+    return _perm_matrix(chain.post_perm).T @ acc @ _perm_matrix(chain.pre_perm)
+
+
+def _accumulator_hlp_chain(sf, sg, tol):
+    """The chain builder the in-place product replaced, kept as a reference: a
+    dense accumulator in sorted coordinates, scattered into a second array."""
+    x = sf.values
+    y = sg.values.copy()
+    scale = max(1.0, float(y.max(initial=0.0)))
+    eps = 1e-12 * scale
+    acc = np.eye(x.size)
+    steps = []
+    while True:
+        d = y - x
+        pos = np.nonzero(d > eps)[0]
+        if pos.size == 0:
+            break
+        j = int(pos[-1])
+        neg = np.nonzero(d[j + 1 :] < 0)[0]
+        if neg.size == 0:
+            if float(np.abs(d).max()) > 10 * max(tol, eps):
+                raise RuntimeError("T-transform construction stalled; input not majorized")
+            break
+        k = j + 1 + int(neg[0])
+        delta = min(d[j], -d[k])
+        gap = y[j] - y[k]
+        t = min(1.0, max(0.0, delta / gap)) if gap > 0 else 1.0
+        if d[j] <= -d[k]:
+            y[k] += delta
+            y[j] = x[j]
+        else:
+            y[j] -= delta
+            y[k] = x[k]
+        row_j = acc[j].copy()
+        row_k = acc[k].copy()
+        acc[j] = (1 - t) * row_j + t * row_k
+        acc[k] = t * row_j + (1 - t) * row_k
+        steps.append((j + 1, k + 1, float(t)))
+    full = np.empty_like(acc)
+    full[np.ix_(sf.order, sg.order)] = acc
+    return tuple(steps), full
 
 
 def _partial_permutation_loop(f, g, value_tol):
@@ -161,8 +224,9 @@ class TestHlpWitness:
             assert len(chain.steps) <= max(0, n - 1)
             assert chain.product.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
             assert np.max(np.abs(chain.product.data @ g.values - f.values)) <= 1e-9
-            rebuilt = chain_product_from_parts(chain)
-            assert np.max(np.abs(rebuilt - chain.product.data)) <= 1e-12
+            reference = dense_chain_product_reference(chain)
+            assert np.max(np.abs(chain.product.data - reference)) <= 1e-12
+            assert np.max(np.abs(chain_product_from_parts(chain) - reference)) <= 1e-12
 
     def test_sum_preservation_of_witnesses(self):
         rng = np.random.default_rng(23)
@@ -172,6 +236,66 @@ class TestHlpWitness:
             f = apply(random_doubly_stochastic(rng, n), g)
             witness = hlp_witness(f, g).product
             assert abs((witness.data @ g.values).sum() - g.values.sum()) <= 1e-9
+
+
+    def test_builder_matches_the_accumulator_chain(self, monkeypatch):
+        # Ties (quarter grid), exact zeros and unequal dimensions; f is mixed
+        # from g by a doubly stochastic or substochastic matrix, or averaged
+        # over disjoint pairs of a permutation of g.
+        rng = np.random.default_rng(44)
+
+        def accumulator_product(sf, sg, tol):
+            return _classify(_accumulator_hlp_chain(sf, sg, tol)[1], tol)
+
+        held = {check_majorize: 0, check_weak_majorize: 0, check_submajorize: 0}
+        for case in range(600):
+            m = int(rng.integers(1, 25))
+            g = rng.integers(0, 9, size=m) / 4 * (rng.uniform(size=m) > 0.25)
+            if case % 3 == 0:
+                f = random_doubly_stochastic(rng, m).data @ g
+            elif case % 3 == 1:
+                f = random_doubly_substochastic(rng, m).data @ g
+            else:
+                f = g[rng.permutation(m)]
+                f[: m - 1 : 2] = f[1::2] = (f[: m - 1 : 2] + f[1::2]) / 2
+            if case % 4 == 0:  # pad or truncate f: truncation keeps it weakly below g
+                f = np.concatenate([f, np.zeros(3)])[: int(rng.integers(1, m + 4))]
+            f, g = NonNegVector(f), NonNegVector(g)
+            for check in held:
+                verdict = check(f, g)
+                if not verdict.holds:
+                    continue
+                held[check] += 1
+                with monkeypatch.context() as patched:
+                    patched.setattr(submaj.relations, "_hlp_product", accumulator_product)
+                    before = check(f, g)
+                assert np.array_equal(verdict.witness.data, before.witness.data)
+                if check is check_submajorize:
+                    assert np.array_equal(verdict.certificate.completion.data, before.certificate.completion.data)
+                # The chain from the (raised) f itself: steps and product.
+                h = f if check is check_majorize else intermediate_h(f, g)
+                sh, sg, _ = submaj.relations._decide(h, g, DEFAULT_CLASS_TOL, equal_totals=True)
+                steps, product = _accumulator_hlp_chain(sh, sg, DEFAULT_CLASS_TOL)
+                chain = hlp_witness(h, g)
+                assert [tuple(step) for step in chain.steps] == list(steps)
+                assert np.array_equal(chain.product.data, product)
+        assert min(held.values()) >= 300
+
+    def test_majorize_witness_keeps_one_dense_array_alive(self):
+        # The product is written in place into the witness itself: no
+        # sorted-coordinate accumulator beside it.
+        n = 400
+        g = np.random.default_rng(72).uniform(0, 1, n)
+        f = g[::-1].copy()
+        f[: n - 1 : 2] = f[1::2] = (f[: n - 1 : 2] + f[1::2]) / 2
+        tracemalloc.start()
+        try:
+            verdict = check_majorize(NonNegVector(f), NonNegVector(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds and verdict.witness is not None
+        assert peak < 1.5 * n * n * 8
 
 
 class TestIntermediateH:
