@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,7 +72,8 @@ class CriterionResult:
         return f"[{status}] criterion {self.index:2d} {self.name}: {self.detail}"
 
 
-def _result(index: int, name: str, failures: list[str], detail_ok: str) -> CriterionResult:
+def _result(index: int, failures: list[str], detail_ok: str) -> CriterionResult:
+    name = _CRITERIA[index - 1].name
     if failures:
         return CriterionResult(index, name, False, f"{len(failures)} failure(s); first: {failures[0]}")
     return CriterionResult(index, name, True, detail_ok)
@@ -102,7 +104,7 @@ def criterion_completion(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> Crite
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 5s budget")
-    return _result(1, "greedy completion", failures, f"1000 completions ok in {elapsed:.2f}s")
+    return _result(1, failures, f"1000 completions ok in {elapsed:.2f}s")
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +191,7 @@ def criterion_oracle_agreement(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) ->
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 60s budget")
-    return _result(2, "oracle agreement", failures, f"550 pairs agree on both relations in {elapsed:.1f}s")
+    return _result(2, failures, f"550 pairs agree on both relations in {elapsed:.1f}s")
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +230,7 @@ def criterion_witness_soundness(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -
                 failures.append(f"case {case}: weak witness residual {residual:.3e}")
             if case % 4 == 2 and verdict.certificate is None:
                 failures.append(f"case {case}: submajorization verdict lacks a certificate")
-    return _result(3, "witness soundness", failures, "500 strict + 250 weak/sub witnesses sound")
+    return _result(3, failures, "500 strict + 250 weak/sub witnesses sound")
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +255,7 @@ def criterion_finite_collapse(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> 
                 failures.append(f"case {case}: no certificate on acceptance")
             elif sub.certificate.completion.matrix_class is not MatrixClass.DOUBLY_STOCHASTIC:
                 failures.append(f"case {case}: certificate completion not doubly stochastic")
-    return _result(4, "finite collapse", failures, "1000 pairs: sub iff weak, certificates valid")
+    return _result(4, failures, "1000 pairs: sub iff weak, certificates valid")
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +297,7 @@ def criterion_antisymmetry(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> Cri
         negatives += 1
         if strict_permutation(f, g) is not None:
             failures.append(f"strict permutation claimed for non-equivalent pair {f.values} {g.values}")
-    return _result(5, "antisymmetry", failures, "200 permutation pairs + 200 negatives behaved")
+    return _result(5, failures, "200 permutation pairs + 200 negatives behaved")
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +326,7 @@ def criterion_closure(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> Criterio
                 failures.append(f"case {case}: {tag} completion fails domination at {tol}")
             if not cert.base.matrix_class.at_least(MatrixClass.DOUBLY_SUBSTOCHASTIC):
                 failures.append(f"case {case}: {tag} base lost substochasticity")
-    return _result(6, "closure", failures, "200 composed + combined certificates valid")
+    return _result(6, failures, "200 composed + combined certificates valid")
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +347,7 @@ def criterion_decomposition(seed: int = 0, tol_exact: float = DEFAULT_EXACT_TOL)
             failures.append(f"case {case}: reconstruction gap {gap:.3e}")
         if not decomp.d2.matrix_class.at_least(MatrixClass.DOUBLY_SUBSTOCHASTIC):
             failures.append(f"case {case}: residual part class {decomp.d2.matrix_class}")
-    return _result(7, "decomposition", failures, "200 reconstructions within 1e-12")
+    return _result(7, failures, "200 reconstructions within 1e-12")
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +377,7 @@ def criterion_intertwining(seed: int = 0, tol_exact: float = DEFAULT_EXACT_TOL) 
             gap = float(np.max(np.abs(p_theta @ cert.base.data - s_dense @ p_theta)))
             if gap > tol_exact:
                 failures.append(f"case {case}: intertwining gap {gap:.3e}")
-    return _result(8, "intertwining", failures, "100 constructions within 1e-12")
+    return _result(8, failures, "100 constructions within 1e-12")
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +440,7 @@ def criterion_golden_fixtures(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> 
     mu_rows = tuple(constant_row_support_index(i) for i in range(1, 5))
     if mu_rows != _EX2_MU_ROWS:
         failures.append(f"constant-row support indices {mu_rows} != {_EX2_MU_ROWS}")
-    return _result(9, "golden fixtures", failures, "three 16x5 displays match entry-for-entry")
+    return _result(9, failures, "three 16x5 displays match entry-for-entry")
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +509,7 @@ def criterion_preserver_roundtrip(seed: int = 0, tol: float = DEFAULT_CLASS_TOL)
         corrupted = _corrupt(rng, t)
         if _classify_for(spec, corrupted, tol).accepted:
             failures.append(f"case {case}: corruption not detected")
-    return _result(10, "preserver round-trip", failures, "100 builds accepted, 100 corruptions rejected")
+    return _result(10, failures, "100 builds accepted, 100 corruptions rejected")
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +528,7 @@ def criterion_empirical_preservation(seed: int = 0, tol: float = DEFAULT_CLASS_T
         if not report.all_passed:
             ce = report.first_counterexample
             failures.append(f"spec {case}: {report.failures} failed trials, first at trial {ce.trial}")
-    return _result(11, "empirical preservation", failures, "20 specs x 50 trials all preserved the order")
+    return _result(11, failures, "20 specs x 50 trials all preserved the order")
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +549,7 @@ def criterion_shift_forcing(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> Cr
         failures.append("propagation left free entries")
     if result.conclusion != "equals-right-shift":
         failures.append(f"conclusion {result.conclusion!r}")
-    return _result(12, "shift forcing", failures, "50x50 forced witness equals the right shift exactly")
+    return _result(12, failures, "50x50 forced witness equals the right shift exactly")
 
 
 # ----------------------------------------------------------------------
@@ -582,27 +584,35 @@ def criterion_theta_families(seed: int = 0, tol: float = DEFAULT_CLASS_TOL, boun
     overlap = support & triangular_values
     if overlap:
         failures.append(f"constant-row support collides with images at {sorted(overlap)[:3]}")
-    return _result(13, "injection families", failures, f"all values <= {bound} injective, disjoint, support-free")
+    return _result(13, failures, f"all values <= {bound} injective, disjoint, support-free")
 
 
 # ----------------------------------------------------------------------
 # Battery driver
 # ----------------------------------------------------------------------
 
+class _Criterion(NamedTuple):
+    run: Callable[[int, float], CriterionResult]
+    name: str
+    exact: bool = False  # takes tol_exact in place of tol
+
+
+# The battery in order; a criterion's index is its position here, and its
+# name is read from here for a pass, a failure and a crash alike.
 _CRITERIA = (
-    criterion_completion,
-    criterion_oracle_agreement,
-    criterion_witness_soundness,
-    criterion_finite_collapse,
-    criterion_antisymmetry,
-    criterion_closure,
-    criterion_decomposition,
-    criterion_intertwining,
-    criterion_golden_fixtures,
-    criterion_preserver_roundtrip,
-    criterion_empirical_preservation,
-    criterion_shift_forcing,
-    criterion_theta_families,
+    _Criterion(criterion_completion, "greedy completion"),
+    _Criterion(criterion_oracle_agreement, "oracle agreement"),
+    _Criterion(criterion_witness_soundness, "witness soundness"),
+    _Criterion(criterion_finite_collapse, "finite collapse"),
+    _Criterion(criterion_antisymmetry, "antisymmetry"),
+    _Criterion(criterion_closure, "closure"),
+    _Criterion(criterion_decomposition, "decomposition", exact=True),
+    _Criterion(criterion_intertwining, "intertwining", exact=True),
+    _Criterion(criterion_golden_fixtures, "golden fixtures"),
+    _Criterion(criterion_preserver_roundtrip, "preserver round-trip"),
+    _Criterion(criterion_empirical_preservation, "empirical preservation"),
+    _Criterion(criterion_shift_forcing, "shift forcing"),
+    _Criterion(criterion_theta_families, "injection families"),
 )
 
 
@@ -613,11 +623,9 @@ def run_acceptance(
 ) -> list[CriterionResult]:
     """Run the full battery; sampled criteria re-randomize with the seed."""
     results = []
-    for index, fn in enumerate(_CRITERIA, start=1):
-        arg = tol_exact if fn in (criterion_decomposition, criterion_intertwining) else tol
+    for index, (run, name, exact) in enumerate(_CRITERIA, start=1):
         try:
-            results.append(fn(seed, arg))
+            results.append(run(seed, tol_exact if exact else tol))
         except Exception as exc:  # a crashed criterion is a failed criterion
-            name = fn.__name__.removeprefix("criterion_").replace("_", " ")
             results.append(CriterionResult(index, name, False, f"raised {type(exc).__name__}: {exc}"))
     return results

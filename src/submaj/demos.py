@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -112,22 +112,18 @@ def constant_row_support_index(i: int) -> int:
     return (i + 1) * (i + 2) // 2 - 1
 
 
-def quadratic_family(members: int, domain_dim: int) -> InjectionFamily:
+def _family(theta: Callable[[int, int], int], members: int, domain_dim: int) -> InjectionFamily:
     return InjectionFamily(
-        tuple(
-            Injection(tuple(theta_quadratic(i, j) for j in range(1, domain_dim + 1)))
-            for i in range(1, members + 1)
-        )
+        tuple(Injection(tuple(theta(i, j) for j in range(1, domain_dim + 1))) for i in range(1, members + 1))
     )
+
+
+def quadratic_family(members: int, domain_dim: int) -> InjectionFamily:
+    return _family(theta_quadratic, members, domain_dim)
 
 
 def triangular_family(members: int, domain_dim: int) -> InjectionFamily:
-    return InjectionFamily(
-        tuple(
-            Injection(tuple(theta_triangular(i, j) for j in range(1, domain_dim + 1)))
-            for i in range(1, members + 1)
-        )
-    )
+    return _family(theta_triangular, members, domain_dim)
 
 
 def triangular_constant_row(mu, dim: int) -> NonNegVector:

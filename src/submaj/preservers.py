@@ -276,10 +276,7 @@ def apply_injection_operator(theta: Injection, f: NonNegVector) -> NonNegVector:
         raise ValueError(
             f"dimension mismatch: injection domain {theta.domain_dim}, vector dim {f.dim}"
         )
-    out = np.zeros(max(theta.mapping))
-    for k in range(f.dim):
-        out[theta.mapping[k] - 1] = f.values[k]
-    return NonNegVector(out)
+    return injection_matrix(theta, max(theta.mapping), f.dim).apply(f)
 
 
 def apply_Th(h: NonNegVector, f: NonNegVector) -> NonNegVector:
@@ -289,14 +286,8 @@ def apply_Th(h: NonNegVector, f: NonNegVector) -> NonNegVector:
 
 def injection_matrix(theta: Injection, rows: int, cols: int) -> TruncatedOperator:
     """Truncated 0/1 matrix of P_theta: ones at (theta(j), j)."""
-    if cols > theta.domain_dim:
-        raise ValueError(f"injection domain {theta.domain_dim} smaller than {cols} columns")
-    entries = {}
-    for j in range(1, cols + 1):
-        i = theta.mapping[j - 1]
-        if i <= rows:
-            entries[(i, j)] = 1.0
-    return TruncatedOperator(rows=rows, cols=cols, entries=entries)
+    spec = PreserverSpec(p=1.0, weights=(1.0,), family=InjectionFamily((theta,)))
+    return build_preserver(spec, rows, cols)
 
 
 def build_preserver(spec: PreserverSpec, rows: int, cols: int) -> TruncatedOperator:
@@ -312,12 +303,8 @@ def build_preserver(spec: PreserverSpec, rows: int, cols: int) -> TruncatedOpera
         )
     entries: dict[tuple[int, int], float] = {}
     for weight, member in zip(spec.weights, spec.family.members):
-        if weight <= 0:
-            continue
-        for j in range(1, cols + 1):
-            i = member.mapping[j - 1]
-            if i <= rows:
-                entries[(i, j)] = weight
+        if weight > 0:
+            entries.update({(i, j): weight for j, i in enumerate(member.mapping[:cols], start=1) if i <= rows})
     if spec.constant_row is not None:
         h = spec.constant_row.values
         for i in spec.constant_row.support():
@@ -430,41 +417,39 @@ def construct_S(
 
     decomp = decompose_increasable(cert.base, cert)
     block = decomp.d1.data - decomp.d2.data
+    r, c = np.nonzero(block > 0)  # row-major: the order of the entries within each member
+    values = block[r, c].tolist()
+    thetas = [np.asarray(member.mapping) - 1 for member in family.members]
     entries: dict[tuple[int, int], float] = {}
-    for member in family.members:
-        for r in range(1, m + 1):
-            for c in range(1, m + 1):
-                v = float(block[r - 1, c - 1])
-                if v > 0:
-                    entries[(member.mapping[r - 1], member.mapping[c - 1])] = v
+    for theta in thetas:
+        entries.update(zip(zip((theta[r] + 1).tolist(), (theta[c] + 1).tolist()), values))
     outside = 1.0 - a
     if outside > 0:
-        for i in range(1, n + 1):
-            if i not in images:
-                entries[(i, i)] = outside
+        entries.update({(i, i): outside for i in range(1, n + 1) if i not in images})
     s = TruncatedOperator(rows=n, cols=n, entries=entries)
 
-    for member in family.members:
-        gap = _intertwining_gap(s, np.asarray(member.mapping) - 1, cert.base.data)
+    for theta in thetas:
+        gap = _intertwining_gap(s, theta, cert.base.data)
         if gap > check_tol:
             raise RuntimeError(f"intertwining identity violated by {gap:.3e}")
     return s
 
 
 def _intertwining_gap(s: TruncatedOperator, theta: np.ndarray, d: np.ndarray) -> float:
-    """max |P_theta D - S P_theta| for the 0-based images ``theta``, in O(nnz + n m).
+    """max |P_theta D - S P_theta| for the 0-based images ``theta``, in O(nnz + m^2).
 
-    P_theta D places D's rows at rows theta; S P_theta is the n x m slice
-    S[:, theta], subtracted from it straight from S's coordinate arrays.
+    P_theta D is D on the block (theta, theta) and zero elsewhere, and S P_theta
+    is S[:, theta]; so S's entries on the block are compared with D and its other
+    entries in columns theta with zero.
     """
-    slot = np.full(s.cols, -1)
+    slot = np.full(max(s.rows, s.cols), -1)
     slot[theta] = np.arange(theta.size)
-    col = slot[s._j - 1]
-    keep = col >= 0
-    diff = np.zeros((s.rows, theta.size))
-    diff[theta] = d
-    diff[s._i[keep] - 1, col[keep]] -= s._v[keep]
-    return float(np.max(np.abs(diff)))
+    row, col = slot[s._i - 1], slot[s._j - 1]
+    inside = (row >= 0) & (col >= 0)
+    block = np.array(d, dtype=float)
+    block[row[inside], col[inside]] -= s._v[inside]
+    strays = s._v[(row < 0) & (col >= 0)]
+    return float(max(np.max(np.abs(block)), np.max(strays, initial=0.0)))
 
 
 class CounterexamplePair(NamedTuple):

@@ -95,6 +95,9 @@ class TTransformChain:
                 raise ValueError(f"step coordinates out of range: {s}")
             if not -1e-15 <= s.t <= 1 + 1e-15:
                 raise ValueError(f"step coefficient outside [0, 1]: {s}")
+        for name, perm in (("pre_perm", self.pre_perm), ("post_perm", self.post_perm)):
+            if sorted(perm) != list(range(1, n + 1)):
+                raise ValueError(f"{name} must be a permutation of 1..{n}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,9 +1,16 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
+import numpy as np
 import pytest
 
+import submaj.acceptance
 from submaj.acceptance import run_acceptance
 
 CRITERIA = 13
+NAMES = [
+    "greedy completion", "oracle agreement", "witness soundness", "finite collapse", "antisymmetry",
+    "closure", "decomposition", "intertwining", "golden fixtures", "preserver round-trip",
+    "empirical preservation", "shift forcing", "injection families",
+]
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +26,25 @@ def _check(battery, index):
 
 def test_battery_covers_all_criteria(battery):
     assert sorted(battery) == list(range(1, CRITERIA + 1))
+    assert [battery[i].name for i in sorted(battery)] == NAMES
+
+
+def test_crashed_criteria_keep_their_names(monkeypatch):
+    # A negative seed makes every seeded criterion (all but 9, 12 and 13)
+    # raise in its first line, where it spawns its generator, so the battery
+    # does not run again; a broken index map crashes criterion 13 as well.
+    def broken(i, j):
+        raise RuntimeError("broken index map")
+
+    monkeypatch.setattr(submaj.acceptance, "theta_quadratic", broken)
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    results = run_acceptance(seed=-1)
+    assert [r.name for r in results] == NAMES
+    crashed = {r.index for r in results if r.detail.startswith("raised ")}
+    assert crashed == set(range(1, CRITERIA + 1)) - {9, 12}
+    assert results[12].detail == "raised RuntimeError: broken index map"
+    assert not any(r.passed for r in results if r.index in crashed)
 
 
 def test_criterion_01_greedy_completion(battery):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from submaj.demos import quadratic_family, triangular_constant_row, triangular_family
-from submaj.matrices import classify_matrix, vonneumann_complete
+from submaj.matrices import classify_matrix, decompose_increasable, vonneumann_complete
 from submaj.preservers import (
     _intertwining_gap,
     Injection,
@@ -19,6 +19,7 @@ from submaj.preservers import (
     empirical_preservation_check,
     identity_injection,
     injection_matrix,
+    preservation_rows_needed,
     random_injection_family,
     validate_family,
 )
@@ -552,3 +553,210 @@ class TestIndexedOperatorMatchesDictScans:
         assert list(t.entries.items()) == list(_ref_clean(2, 2, entries).items()) == [((2, 1), 0.5), ((1, 2), 1.25)]
         assert t.row(1) == {2: 1.25} and t.column(2) == {1: 1.25} and t.row(2) == {1: 0.5}
         assert t.apply(V(1, 1)).values.tolist() == [1.25, 0.5]
+
+
+# ----------------------------------------------------------------------
+# Differential tests: injection_matrix, apply_injection_operator and
+# construct_S place entries through build_preserver and index arrays; the
+# per-entry loops they replaced are kept here as reference copies.
+# ----------------------------------------------------------------------
+
+
+def _ref_window(rows, cols, entries):
+    """The operator the old loops produced, or the error it raised."""
+    try:
+        return TruncatedOperator(rows=rows, cols=cols, entries=entries)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _ref_build_preserver(spec, rows, cols):
+    if spec.family.members and cols > spec.family.domain_dim:
+        return f"injection domain {spec.family.domain_dim} smaller than {cols} columns"
+    entries = {}
+    for weight, member in zip(spec.weights, spec.family.members):
+        if weight <= 0:
+            continue
+        for j in range(1, cols + 1):
+            i = member.mapping[j - 1]
+            if i <= rows:
+                entries[(i, j)] = weight
+    if spec.constant_row is not None:
+        h = spec.constant_row.values
+        for i in spec.constant_row.support():
+            if i <= rows:
+                for j in range(1, cols + 1):
+                    entries[(i, j)] = float(h[i - 1])
+    return _ref_window(rows, cols, entries)
+
+
+def _ref_injection_matrix(theta, rows, cols):
+    if cols > theta.domain_dim:
+        return f"injection domain {theta.domain_dim} smaller than {cols} columns"
+    entries = {}
+    for j in range(1, cols + 1):
+        i = theta.mapping[j - 1]
+        if i <= rows:
+            entries[(i, j)] = 1.0
+    return _ref_window(rows, cols, entries)
+
+
+def _ref_apply_injection_operator(theta, f):
+    out = np.zeros(max(theta.mapping))
+    for k in range(f.dim):
+        out[theta.mapping[k] - 1] = f.values[k]
+    return out
+
+
+def _ref_construct_S(cert, family, a, truncate):
+    """The old entry loops and the dense gap of the first member (the one a failing check reports)."""
+    m = cert.base.n
+    images = family.union_image()
+    n = truncate if truncate is not None else max(images)
+    decomp = decompose_increasable(cert.base, cert)
+    block = decomp.d1.data - decomp.d2.data
+    entries = {}
+    for member in family.members:
+        for r in range(1, m + 1):
+            for c in range(1, m + 1):
+                v = float(block[r - 1, c - 1])
+                if v > 0:
+                    entries[(member.mapping[r - 1], member.mapping[c - 1])] = v
+    outside = 1.0 - a
+    if outside > 0:
+        for i in range(1, n + 1):
+            if i not in images:
+                entries[(i, i)] = outside
+    s = TruncatedOperator(rows=n, cols=n, entries=entries)
+    theta = np.asarray(family.members[0].mapping) - 1
+    diff = np.zeros((n, m))
+    diff[theta] = cert.base.data
+    diff -= s.to_dense()[:, theta]
+    return s, float(np.max(np.abs(diff)))
+
+
+def _assert_same_operator(got, want):
+    assert isinstance(want, TruncatedOperator), want
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert all(type(i) is int and type(j) is int and type(v) is float for (i, j), v in got.entries.items())
+    for name in ("_i", "_j", "_v"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _placement_cases(seed, count):
+    """Seeded (spec, rows, cols, cert, a, truncate) over every placement edge.
+
+    Families cycle through quadratic, triangular and random; some weights are
+    zero; p = 1 specs may carry constant rows on spare indices; the window may
+    stop below the top image, the columns below the domain; a is 0, 1 or
+    uniform, and S's truncation is its top image or above it.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        members, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        kind = case % 3
+        if kind == 0:
+            family = quadratic_family(members, m)
+        elif kind == 1:
+            family = triangular_family(members, m)
+        else:
+            family = random_injection_family(rng, members, m, members * m + int(rng.integers(0, 12)))
+        weights = rng.uniform(0.1, 2.0, members) * (rng.uniform(size=members) > 0.3)
+        top = max(family.union_image())
+        constant_row = None
+        if case % 2 == 0:
+            spare = [i for i in range(1, top + 3) if i not in family.union_image()]
+            h = np.zeros(top + 2)
+            h[rng.choice(spare, size=min(len(spare), int(rng.integers(1, 4))), replace=False) - 1] = rng.uniform(0.1, 1)
+            constant_row = NonNegVector(h)
+        spec = PreserverSpec(p=1.0 if case % 2 == 0 else 2.0, weights=tuple(weights), family=family,
+                             constant_row=constant_row)
+        cols = m if rng.uniform() < 0.5 else int(rng.integers(1, m + 1))
+        rows = preservation_rows_needed(spec, cols) if rng.uniform() < 0.5 else int(rng.integers(1, top + 3))
+        cert = vonneumann_complete(random_doubly_substochastic(rng, m))
+        a = (0.0, 1.0, float(rng.uniform()))[int(rng.integers(0, 3))]
+        truncate = None if rng.uniform() < 0.5 else top + int(rng.integers(0, 6))
+        yield spec, rows, cols, cert, a, truncate
+
+
+class TestPlacementMatchesEntryLoops:
+    def test_operators_and_actions_match_reference(self):
+        seen = set()
+        for spec, rows, cols, cert, a, truncate in _placement_cases(seed=71, count=400):
+            family = spec.family
+            _assert_same_operator(build_preserver(spec, rows, cols), _ref_build_preserver(spec, rows, cols))
+            for theta in family.members:
+                _assert_same_operator(injection_matrix(theta, rows, cols), _ref_injection_matrix(theta, rows, cols))
+                m = theta.domain_dim
+                f = NonNegVector(np.random.default_rng(rows).uniform(0, 2, m) * (np.arange(m) % 3 > 0))
+                got = apply_injection_operator(theta, f).values
+                assert got.shape == (max(theta.mapping),)
+                assert np.array_equal(got, _ref_apply_injection_operator(theta, f))
+            s = construct_S(cert, family, a, truncate=truncate)
+            want, gap = _ref_construct_S(cert, family, a, truncate)
+            _assert_same_operator(s, want)
+            with pytest.raises(RuntimeError) as err:
+                construct_S(cert, family, a, truncate=truncate, check_tol=-1.0)
+            assert str(err.value) == f"intertwining identity violated by {gap:.3e}"
+            seen |= {("rows below top", rows < max(family.union_image())), ("cols below domain", cols < m),
+                     ("zero weight", 0.0 in spec.weights), ("constant row", spec.constant_row is not None),
+                     ("a", a)}
+        assert {("rows below top", True), ("cols below domain", True), ("zero weight", True),
+                ("constant row", True), ("a", 0.0), ("a", 1.0)} <= seen
+
+    def test_errors_match_reference(self):
+        theta = Injection((4, 2, 7))
+        spec = PreserverSpec(p=1.0, weights=(1.0,), family=InjectionFamily((theta,)))
+        for rows, cols in ((0, 1), (1, 0), (5, -1), (-2, 2), (9, 4), (9, 10)):
+            want = _ref_injection_matrix(theta, rows, cols)
+            assert isinstance(want, str)
+            for got in (_outcome(injection_matrix, theta, rows, cols), _outcome(build_preserver, spec, rows, cols)):
+                assert isinstance(got, ValueError) and str(got) == want
+        assert str(_outcome(injection_matrix, theta, 0, 1)) == "truncation must have at least one row and column"
+        assert str(_outcome(injection_matrix, theta, 9, 4)) == "injection domain 3 smaller than 4 columns"
+        got = _outcome(apply_injection_operator, theta, V(1, 2))
+        assert str(got) == "dimension mismatch: injection domain 3, vector dim 2"
+
+    def test_gap_counts_entries_off_the_block(self):
+        # A faulty S may put entries in columns theta outside the block; the
+        # gap must see them, as the dense slice S[:, theta] did.
+        rng = np.random.default_rng(73)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            m = min(m, n)
+            theta = rng.permutation(n)[:m]
+            cells = {(int(i), int(j)) for i, j in rng.integers(1, n + 1, size=(int(rng.integers(0, 3 * n)), 2))}
+            s = TruncatedOperator(rows=n, cols=n, entries={c: float(rng.uniform(0.1, 1)) for c in cells})
+            d = random_doubly_substochastic(rng, m).data
+            p_theta_d = np.zeros((n, m))
+            p_theta_d[theta] = d
+            assert _intertwining_gap(s, theta, d) == float(np.max(np.abs(p_theta_d - s.to_dense()[:, theta])))
+
+    def test_gap_memory_is_linear_in_the_entries(self):
+        # Quadratic family at m = 100: n = 5362 rows, so a dense n x m slice
+        # alone takes n * m * 8 = 4.3 MB; S has about 45 000 entries.
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        m = 100
+        cert = vonneumann_complete(random_doubly_substochastic(rng, m))
+        family = quadratic_family(5, m)
+        s = construct_S(cert, family, 0.3)
+        theta = np.asarray(family.members[0].mapping) - 1
+        tracemalloc.start()
+        try:
+            gap = _intertwining_gap(s, theta, cert.base.data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap <= 1e-12
+        assert peak < s.rows * m * 8, peak

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import submaj.matrices
 import submaj.relations
 from submaj.config import DEFAULT_CLASS_TOL
-from submaj.matrices import MatrixClass, _classify, apply, compose, vonneumann_complete
+from submaj.matrices import MatrixClass, _classify, apply, compose, identity_matrix, vonneumann_complete
 from submaj.relations import (
+    TTransformChain,
     chain_product_from_parts,
     check_majorize,
     check_submajorize,
@@ -213,6 +214,16 @@ class TestHlpWitness:
     def test_precondition_enforced(self):
         with pytest.raises(ValueError, match="precondition"):
             hlp_witness(V(2, 0), V(1, 1))
+
+    @pytest.mark.parametrize("pre, post, bad", [
+        ((0, 1, 1), (1, 2, 3), "pre_perm"),  # a repeated and a wrapped index: column sums 2, 0, 1
+        ((1, 2, 3), (3, 1, 3), "post_perm"),
+        ((1, 2), (1, 2, 3), "pre_perm"),
+        ((1, 2, 3), (2, 3, 4), "post_perm"),
+    ])
+    def test_chain_rejects_sort_orders_that_are_not_permutations(self, pre, post, bad):
+        with pytest.raises(ValueError, match=f"{bad} must be a permutation of 1..3"):
+            TTransformChain(steps=(), pre_perm=pre, post_perm=post, product=identity_matrix(3))
 
     def test_random_chains_are_short_sound_and_reconstructible(self):
         rng = np.random.default_rng(22)
