@@ -18,7 +18,9 @@ Hardy-Littlewood-Polya argument, row-scaled when totals differ: the weak
 witness is W = diag(s) D1 with 0 <= s <= 1 and D1 doubly stochastic.  D1
 dominates W entrywise, so D1 is the submajorization certificate, and its
 ``steps`` is empty (no greedy completion runs).  Each call sorts every
-vector once and decides once; the witness is built from that sorted data.
+vector once and decides once.  A decision sorts values only; the stable
+tie-broken order is computed only when a witness, h or a permutation is
+built, and the witness is built from that same sorted data.
 A chain's product is written once, directly in original coordinates, by
 mixing rows of a permutation matrix in place: O(n) per step, O(n * steps)
 in all, with the n x n result as the only dense array.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -128,21 +131,25 @@ def _chain_product(steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np
     return out
 
 
-class _Sorted(NamedTuple):
-    """A vector sorted once: the vector, its stable non-increasing order
-    (0-based, ties by ascending index), the sorted values and their partial
-    sums."""
+class _Sorted:
+    """A vector sorted once: the vector, its non-increasing values and their
+    partial sums, from one values-only sort.
 
-    raw: np.ndarray
-    order: np.ndarray
-    values: np.ndarray
-    sums: np.ndarray
+    ``order``, the stable non-increasing order (0-based, ties by ascending
+    index), is computed on first use: a decision needs only the values, and
+    only code that un-sorts (a witness, h, a permutation) reads the order.
+    ``raw[order]`` equals ``values`` bitwise for any ``raw`` without -0.0,
+    which a NonNegVector never stores.
+    """
 
+    def __init__(self, raw: np.ndarray) -> None:
+        self.raw = raw
+        self.values = np.sort(raw)[::-1]
+        self.sums = np.cumsum(self.values)
 
-def _sort(raw: np.ndarray) -> _Sorted:
-    order = np.argsort(-raw, kind="stable")
-    values = raw[order]
-    return _Sorted(raw, order, values, np.cumsum(values))
+    @cached_property
+    def order(self) -> np.ndarray:
+        return np.argsort(-self.raw, kind="stable")
 
 
 def _decide(
@@ -154,7 +161,7 @@ def _decide(
     Returns both sorted vectors and the failing verdict (None if it holds).
     """
     f2, g2 = common_dim(f, g)
-    sf, sg = _sort(f2.values), _sort(g2.values)
+    sf, sg = _Sorted(f2.values), _Sorted(g2.values)
     pf, pg = sf.sums, sg.sums
     bad = np.nonzero(pf > pg + tol)[0]
     if bad.size:
@@ -333,7 +340,7 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     h = _raised(sf, sg)
     # _classify takes each fresh product as it is, so at most two n x n
     # arrays (D1 and W) are alive at once.
-    d1 = _hlp_product(_sort(h), sg, tol)
+    d1 = _hlp_product(_Sorted(h), sg, tol)
     safe = np.where(h > 0, h, 1.0)
     scales = np.clip(np.where(h > 0, f / safe, 1.0), 0.0, 1.0)
     return _classify(d1.data * scales[:, None], tol), d1
@@ -346,7 +353,7 @@ def strict_permutation(f: NonNegVector, g: NonNegVector, value_tol: float = 0.0)
     ``value_tol``; exact by default).  Ties are matched by ascending index.
     """
     f2, g2 = common_dim(f, g)
-    sf, sg = _sort(f2.values), _sort(g2.values)
+    sf, sg = _Sorted(f2.values), _Sorted(g2.values)
     if np.any(np.abs(sf.values - sg.values) > value_tol):
         return None
     out = np.empty(f2.dim, dtype=int)
@@ -365,7 +372,7 @@ def partial_permutation(
     k = int(np.count_nonzero(f.values > 0))
     if k != np.count_nonzero(g.values > 0):
         return None
-    sf, sg = _sort(f.values), _sort(g.values)  # positives form the sorted prefix
+    sf, sg = _Sorted(f.values), _Sorted(g.values)  # positives form the sorted prefix
     if np.any(np.abs(sf.values[:k] - sg.values[:k]) > value_tol):
         return None
     return dict(zip((sf.order[:k] + 1).tolist(), (sg.order[:k] + 1).tolist()))

@@ -29,6 +29,7 @@ class NonNegVector:
             raise ValueError("vector entries must be finite (no NaN/inf)")
         if np.any(arr < 0):
             raise ValueError("vector entries must be nonnegative")
+        arr += 0.0  # -0.0 becomes +0.0: sorted values and JSON carry no signed zero
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

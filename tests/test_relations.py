@@ -34,7 +34,7 @@ from submaj.sampling import (
     random_nonneg_vector,
     random_permutation_matrix,
 )
-from submaj.vectors import NonNegVector
+from submaj.vectors import NonNegVector, common_dim
 
 V = NonNegVector.of
 
@@ -116,6 +116,63 @@ def _partial_permutation_loop(f, g, value_tol):
     return {a + 1: b + 1 for a, b in zip(fpos, gpos)}
 
 
+def _stable_sort_reference(raw):
+    """The stable argsort and gather every decision ran before the values-only
+    sort, kept as a reference: (order, values, partial sums)."""
+    order = np.argsort(-raw, kind="stable")
+    values = raw[order]
+    return order, values, np.cumsum(values)
+
+
+def _decide_reference(f, g, tol, equal_totals):
+    """The decision on the stable sort, kept as a reference: (holds, failed_index, message)."""
+    f2, g2 = common_dim(f, g)
+    pf, pg = _stable_sort_reference(f2.values)[2], _stable_sort_reference(g2.values)[2]
+    bad = np.nonzero(pf > pg + tol)[0]
+    if bad.size:
+        k = int(bad[0])
+        return False, k + 1, f"sorted partial sums fail at position {k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
+    if equal_totals and abs(pf[-1] - pg[-1]) > tol:
+        k = pf.size - 1
+        return False, k + 1, f"totals differ at position {k + 1}: {pf[k]:.12g} vs {pg[k]:.12g}"
+    return True, None, None
+
+
+_HOLDS = {
+    check_majorize: (True, "majorization holds"),
+    check_weak_majorize: (False, "weak majorization holds"),
+    check_submajorize: (False, "submajorization holds (finite collapse to the weak relation)"),
+}
+
+
+def _differential_pair(rng, case):
+    """A seeded pair with quarter-grid ties or exact zeros; f is mixed from g,
+    a permuted copy of g or an independent draw; unequal dimensions, scales
+    2^-20, 1 and 2^20, and some zeros written as -0.0."""
+    m = int(rng.integers(1, 30))
+    if case % 2:
+        g = rng.integers(0, 9, size=m) / 4
+    else:
+        g = rng.uniform(0, 1, m) * (rng.uniform(size=m) > 0.3)
+    kind = case // 2 % 4
+    if kind == 0:
+        f = random_doubly_stochastic(rng, m).data @ g
+    elif kind == 1:
+        f = random_doubly_substochastic(rng, m).data @ g
+    elif kind == 2:
+        f = g[rng.permutation(m)]
+    else:
+        f = rng.integers(0, 9, size=m) / 4 if case % 2 else rng.uniform(0, 1, m) * (rng.uniform(size=m) > 0.3)
+    if case % 5 == 0:
+        f = np.concatenate([f, np.zeros(3)])[: int(rng.integers(1, m + 4))]
+    scale = 2.0 ** int(rng.choice([-20, 0, 20]))
+    f, g = f * scale, g * scale
+    if case % 3 == 0:
+        f = np.where((f == 0) & (rng.uniform(size=f.size) < 0.5), -0.0, f)
+        g = np.where((g == 0) & (rng.uniform(size=g.size) < 0.5), -0.0, g)
+    return NonNegVector(f), NonNegVector(g)
+
+
 class TestCheckMajorize:
     def test_averaged_pair_holds_with_witness(self):
         verdict = check_majorize(V(1, 1), V(2, 0))
@@ -143,6 +200,59 @@ class TestCheckMajorize:
 
     def test_pads_unequal_dims(self):
         assert check_majorize(V(1, 1), V(2)).holds  # g padded to (2, 0)
+
+    def test_signed_zeros_print_as_zero(self):
+        verdict = check_majorize(NonNegVector([-0.0, -0.0]), NonNegVector([1.0, 0.0]))
+        assert verdict.message == "totals differ at position 2: 0 vs 1"
+
+
+class TestValuesOnlySort:
+    def test_verdicts_and_sorts_match_the_stable_sort(self):
+        rng = np.random.default_rng(47)
+        seen = {(check, holds) for check in _HOLDS for holds in (True, False)}
+        for case in range(600):
+            f, g = _differential_pair(rng, case)
+            f2, g2 = common_dim(f, g)
+            for raw in (f2.values, g2.values):
+                order, values, sums = _stable_sort_reference(raw)
+                got = submaj.relations._Sorted(raw)
+                assert got.values.tobytes() == values.tobytes()
+                assert got.sums.tobytes() == sums.tobytes()
+                assert np.array_equal(got.order, order)
+            for check, (equal_totals, holds_message) in _HOLDS.items():
+                holds, failed_index, message = _decide_reference(f, g, DEFAULT_CLASS_TOL, equal_totals)
+                want = (holds, failed_index, message if message is not None else holds_message)
+                for with_witness in (True, False):
+                    verdict = check(f, g, with_witness=with_witness)
+                    assert (verdict.holds, verdict.failed_index, verdict.message) == want
+                    assert (verdict.witness is not None) == (holds and with_witness)
+                seen.discard((check, holds))
+        assert not seen  # every check both holds and fails
+
+    def test_decisions_and_mismatched_permutations_never_argsort(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        g = rng.uniform(0, 1, 10_000)
+        pairs = {
+            "permuted copy": (rng.permutation(g), (True, True)),
+            "scaled down": (0.9 * rng.permutation(g), (False, True)),
+            "scaled up": (1.1 * g, (False, False)),
+        }
+        g = NonNegVector(g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.argsort called")
+
+        monkeypatch.setattr(np, "argsort", refuse)
+        for name, (f, (strong, weak)) in pairs.items():
+            f = NonNegVector(f)
+            assert check_majorize(f, g, with_witness=False).holds is strong, name
+            assert check_weak_majorize(f, g, with_witness=False).holds is weak, name
+            assert check_submajorize(f, g, with_witness=False).holds is weak, name
+        assert strict_permutation(V(1, 2, 0), V(2, 2, 0)) is None
+        assert partial_permutation(V(1, 2, 0), V(0, 2, 2)) is None
+        assert partial_permutation(V(1, 2, 0), V(2, 2, 2)) is None
+        with pytest.raises(AssertionError, match="argsort"):  # the guard is live
+            strict_permutation(V(1, 2), V(2, 1))
 
 
 class TestCheckWeakMajorize:

@@ -1,5 +1,6 @@
 """Vector primitives: rearrangements, partial sums, level sets, p-norms."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ class TestJson:
     def test_round_trip(self):
         v = NonNegVector.of(0.5, 0.0, 2.25)
         assert NonNegVector.from_json_dict(v.to_json_dict()).values.tolist() == [0.5, 0.0, 2.25]
+
+    def test_negative_zero_is_written_as_zero(self):
+        v = NonNegVector.of(-0.0, 1.0, -0.0)
+        assert not np.any(np.signbit(v.values))
+        assert json.dumps(v.to_json_dict()) == '{"dim": 3, "values": [0.0, 1.0, 0.0]}'
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
