@@ -538,7 +538,7 @@ def criterion_empirical_preservation(seed: int = 0, tol: float = DEFAULT_CLASS_T
 def criterion_shift_forcing(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> CriterionResult:
     """For g(i) = 1/i^2 at n = 50 the forced witness equals the truncated
     right shift with literal 0/1 entries on all pinned rows."""
-    del seed, tol  # exact propagation, no randomness or tolerance
+    del seed, tol  # closed form, no randomness or tolerance
     failures: list[str] = []
     g = NonNegVector(np.array([1.0 / (i * i) for i in range(1, 51)]))
     result = shift_forcing(g)
@@ -546,7 +546,7 @@ def criterion_shift_forcing(seed: int = 0, tol: float = DEFAULT_CLASS_TOL) -> Cr
     if not np.array_equal(result.forced.to_dense(), expected):
         failures.append("forced matrix differs from the truncated right shift")
     if not result.fully_determined:
-        failures.append("propagation left free entries")
+        failures.append("forced witness left free entries")
     if result.conclusion != "equals-right-shift":
         failures.append(f"conclusion {result.conclusion!r}")
     return _result(12, failures, "50x50 forced witness equals the right shift exactly")

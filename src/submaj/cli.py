@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit code contract: 0 = relation holds / operation succeeded, 1 = relation
-fails / classification rejects / selftest failures, 2 = usage or input error,
-3 = internal error (a fault in the program, never a verdict on the input).
+fails / classification rejects / selftest failures, 2 = usage or input error
+(a bad or malformed input file, or a ValueError from a library argument
+check such as --cols above the domain), 3 = internal error: any other
+exception, a fault in the program and never a verdict on the input.
 All randomness flows from one master seed; the only environment variable
 honored is MAJ_TOL (default class tolerance), keeping runs reproducible.
 """
@@ -44,31 +46,40 @@ class InputError(Exception):
     """Bad file, malformed JSON, or arguments violating a precondition."""
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """``parse`` applied to the JSON document at ``path``.
+
+    An unreadable file, malformed JSON, or a document that ``parse`` rejects
+    with a ValueError, TypeError or KeyError is an :class:`InputError`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
-
-
-def _load_vector(path: str) -> NonNegVector:
     try:
-        return NonNegVector.from_json_dict(_load_json(path))
-    except ValueError as exc:
+        return parse(obj)
+    except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_weights(path: str) -> tuple[float, ...]:
-    obj = _load_json(path)
+def _load_vector(path: str) -> NonNegVector:
+    return _load(path, NonNegVector.from_json_dict)
+
+
+def _weights(obj) -> tuple[float, ...]:
     if isinstance(obj, list):
         return tuple(float(v) for v in obj)
     try:
         return tuple(float(v) for v in NonNegVector.from_json_dict(obj).values)
     except ValueError as exc:
-        raise InputError(f"{path}: expected a JSON array or a vector object: {exc}") from exc
+        raise ValueError(f"expected a JSON array or a vector object: {exc}") from exc
+
+
+def _load_weights(path: str) -> tuple[float, ...]:
+    return _load(path, _weights)
 
 
 def _emit(payload, path: Optional[str]) -> None:
@@ -136,7 +147,7 @@ def _cmd_witness(args, cfg: Config) -> int:
 
 
 def _cmd_complete(args, cfg: Config) -> int:
-    matrix = StochMatrix.from_json_dict(_load_json(args.matrix), cfg.tol_class)
+    matrix = _load(args.matrix, lambda obj: StochMatrix.from_json_dict(obj, cfg.tol_class))
     if not matrix.matrix_class.at_least(MatrixClass.DOUBLY_SUBSTOCHASTIC):
         raise InputError(
             f"input matrix is {matrix.matrix_class.value}; completion requires doubly substochastic"
@@ -147,7 +158,7 @@ def _cmd_complete(args, cfg: Config) -> int:
 
 
 def _cmd_classify(args, cfg: Config) -> int:
-    op = TruncatedOperator.from_json_dict(_load_json(args.operator))
+    op = _load(args.operator, TruncatedOperator.from_json_dict)
     classify = classify_preserver_lp if args.space == "lp" else classify_preserver_l1
     verdict = classify(op, cfg.tol_class)
     if cfg.output_mode == "json":
@@ -158,14 +169,14 @@ def _cmd_classify(args, cfg: Config) -> int:
 
 
 def _cmd_build_preserver(args, cfg: Config) -> int:
-    spec = PreserverSpec.from_json_dict(_load_json(args.spec))
+    spec = _load(args.spec, PreserverSpec.from_json_dict)
     op = build_preserver(spec, rows=args.rows, cols=args.cols)
     _emit(op.to_json_dict(), args.out)
     return 0
 
 
 def _cmd_preserve_test(args, cfg: Config) -> int:
-    spec = PreserverSpec.from_json_dict(_load_json(args.spec))
+    spec = _load(args.spec, PreserverSpec.from_json_dict)
     report = empirical_preservation_check(
         spec, trials=args.trials, n=args.dim, seed=cfg.seed, tol=cfg.tol_class
     )
@@ -385,7 +396,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except Exception as exc:  # anything else is a fault in the program
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

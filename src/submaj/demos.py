@@ -2,7 +2,7 @@
 
 * Shift forcing: for a strictly decreasing positive g and f equal to g
   shifted right, the only doubly substochastic matrix with f = Dg is the
-  right shift itself, recovered here by constraint propagation.
+  right shift itself, returned in closed form.
 * Two concrete injection families with closed-form index maps, and the
   paper's three display operators built from them (:func:`display_spec`),
   whose 16x5 windows serve as golden fixtures.
@@ -24,16 +24,15 @@ from .relations import check_weak_majorize, strict_permutation
 from .vectors import NonNegVector
 
 FORCED_EQUALS_RIGHT_SHIFT = "equals-right-shift"
-FORCED_UNDERDETERMINED = "underdetermined"
-FORCED_CONTRADICTION = "contradiction"
 
 
 @dataclass(frozen=True, eq=False)
 class ForcingResult:
     """Forced witness for the shifted-sequence equation f = Dg.
 
-    ``fully_determined`` means every cell of the window was pinned to a
-    literal 0 or 1 by the propagation; no tolerance is involved.
+    ``fully_determined`` means every cell of the window is pinned to a
+    literal 0 or 1 by the forcing argument; no tolerance is involved.  For
+    admissible g it always is, and ``forced`` is the right shift.
     """
 
     forced: TruncatedOperator
@@ -42,14 +41,15 @@ class ForcingResult:
 
 
 def shift_forcing(g: NonNegVector) -> ForcingResult:
-    """Propagate the constraints that pin D to the right shift.
+    """The doubly substochastic D with f = Dg, f being g shifted right.
 
     Requires g strictly decreasing with all entries positive.  Row 1 must
     vanish because f(1) = 0 while every g(j) > 0.  Row k+1 reads
     g(k) = sum_j D[k+1, j] g(j) with columns below k already zeroed; since
     every remaining g(j) is at most g(k) with equality only at j = k, the row
     cap forces D[k+1, k] = 1 and zeros elsewhere, and column substochasticity
-    then clears column k.  Within the window every cell gets pinned.
+    then clears column k.  Within the window every cell gets pinned, so the
+    forced matrix is the right shift whatever the values of g.
 
     The infinite-sequence conclusion (the right shift admits no doubly
     stochastic completion) is a limit statement; callers should present it
@@ -61,31 +61,10 @@ def shift_forcing(g: NonNegVector) -> ForcingResult:
     if np.any(np.diff(vals) >= 0):
         raise ValueError("shift forcing requires a strictly decreasing sequence")
     n = g.dim
-
-    # Per-row and per-column state stands in for the n x n grid: a cell is
-    # pinned once its row or its column is, and a pinned cell holds 1 exactly
-    # where its row's (and its column's) 1 sits.
-    free, zero = None, -1
-    row_one = [free] * n  # 0-based column of row k's 1; zero for an all-zero row
-    col_one = [free] * n  # 0-based row of column k's 1
-    row_one[0] = zero  # f(1) = 0 against positive g
-    conclusion = FORCED_EQUALS_RIGHT_SHIFT
-    for k in range(1, n):
-        r, c = row_one[k], col_one[k - 1]
-        if (r is not free and r != k - 1) or (c is not free and c != k):
-            conclusion = FORCED_CONTRADICTION  # cell (k, k-1) pinned to 0; unreachable for admissible g
-            break
-        row_one[k] = k - 1
-        col_one[k - 1] = k
-
-    fully = free not in row_one or free not in col_one  # a free cell needs a free row and column
-    if not fully and conclusion == FORCED_EQUALS_RIGHT_SHIFT:
-        conclusion = FORCED_UNDERDETERMINED
-    entries = {(i + 1, j + 1): 1.0 for i, j in enumerate(row_one) if j is not free and j != zero}
     return ForcingResult(
-        forced=TruncatedOperator(rows=n, cols=n, entries=entries),
-        fully_determined=fully,
-        conclusion=conclusion,
+        forced=TruncatedOperator(rows=n, cols=n, entries={(k + 1, k): 1.0 for k in range(1, n)}),
+        fully_determined=True,
+        conclusion=FORCED_EQUALS_RIGHT_SHIFT,
     )
 
 
@@ -200,7 +179,7 @@ def reciprocal_square_example(n: int, tol: float = DEFAULT_CLASS_TOL) -> Recipro
     right = shift_matrix(n, "right")
     g = matrix_apply(right, f)
 
-    right_exact = bool(np.array_equal(g.values, right.data @ f.values))
+    right_exact = bool(np.array_equal(g.values, np.concatenate(([0.0], f.values[:-1]))))
     weak_g_under_f = check_weak_majorize(g, f, tol, with_witness=False).holds
     weak_f_under_g = check_weak_majorize(f, g, tol, with_witness=False).holds
 

@@ -279,8 +279,7 @@ def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[TTransformStep, ..
             break
         k = j + 1 + int(neg[0])
         delta = min(d[j], -d[k])
-        gap = y[j] - y[k]
-        t = min(1.0, max(0.0, delta / gap)) if gap > 0 else 1.0
+        t = delta / (y[j] - y[k])  # in (0, 1]: y[k] < x[k] <= x[j], so y[j] - y[k] >= d[j] >= delta > 0
         if d[j] <= -d[k]:
             y[k] += delta
             y[j] = x[j]  # pin exactly
@@ -342,7 +341,7 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     # arrays (D1 and W) are alive at once.
     d1 = _hlp_product(_Sorted(h), sg, tol)
     safe = np.where(h > 0, h, 1.0)
-    scales = np.clip(np.where(h > 0, f / safe, 1.0), 0.0, 1.0)
+    scales = np.where(h > 0, f / safe, 1.0)  # in [0, 1]: _raised only adds to f
     return _classify(d1.data * scales[:, None], tol), d1
 
 

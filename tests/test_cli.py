@@ -80,6 +80,41 @@ def test_internal_fault_exits_3(files, monkeypatch, capsys):
     assert "internal error: stalled" in capsys.readouterr().err
 
 
+def test_any_other_exception_exits_3(files, monkeypatch, capsys):
+    write, _ = files
+    f = write("f.json", {"dim": 1, "values": [1.0]})
+
+    def faulty(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(submaj.cli._CHECKS, "weak", faulty)
+    assert main(["check", "--relation", "weak", f, f]) == 3
+    assert "internal error: unsupported operand" in capsys.readouterr().err
+
+
+_WELL_FORMED_SPEC = {"p": 1.0, "weights": [1.0], "injections": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "name,payload,argv",
+    [
+        ("op.json", {"rows": 2, "cols": 2, "entries": [5]}, ["classify", "--space", "l1"]),
+        ("spec.json", {**_WELL_FORMED_SPEC, "p": None}, ["build-preserver", "--rows", "4", "--cols", "2"]),
+        ("spec.json", {**_WELL_FORMED_SPEC, "p": None}, ["preserve-test"]),
+        ("spec.json", {**_WELL_FORMED_SPEC, "injections": [3]}, ["build-preserver", "--rows", "4", "--cols", "2"]),
+        ("spec.json", {**_WELL_FORMED_SPEC, "injections": [3]}, ["preserve-test"]),
+        ("lam.json", [1, None], ["demo", "paper-matrix", "--which", "T1", "--lambda"]),
+        ("m.json", {"n": 2, "data": [1, 0, 0, None]}, ["complete"]),
+    ],
+)
+def test_malformed_documents_are_input_errors(files, capsys, name, payload, argv):
+    write, _ = files
+    path = write(name, payload)
+    assert main([*argv, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 def test_check_json_output(files, capsys):
     write, _ = files
     f = write("f.json", {"dim": 1, "values": [1.0]})

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import submaj.demos
 from submaj.demos import (
     constant_row_support_index,
     display_spec,
@@ -151,6 +152,14 @@ class TestReciprocalSquareExample:
         assert report.partial_matched_support == (1, 2, 3)
         assert report.strict_perm_with_zero_pad is not None
         assert report.infinite_range_excludes_zero
+
+    def test_shift_witness_is_checked_against_an_independent_shift(self, monkeypatch):
+        # g is built through shift_matrix, so the check must not go through it.
+        def swapped(n, direction):
+            return shift_matrix(n, "left" if direction == "right" else direction)
+
+        monkeypatch.setattr(submaj.demos, "shift_matrix", swapped)
+        assert not reciprocal_square_example(4).right_shift_witness_exact
 
     def test_n2_window(self):
         report = reciprocal_square_example(2)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import submaj.matrices
@@ -528,6 +528,51 @@ def test_verdicts_are_permutation_invariant_and_witnesses_build(pair):
             assert cert.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
             assert np.all(cert.completion.data >= w.data)
             assert cert.steps == ()
+
+
+@st.composite
+def _holding_weak_pairs(draw):
+    """(f, g) for which f is weakly majorized by g.  g is dyadic (k / 64) or
+    uniform, with ties and exact zeros; f is a permutation of g averaged over
+    disjoint pairs and scaled by k / 16 (so also exact zeros); single entries
+    of both move by one ulp; both are scaled by 2**e, e in -60..60."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        g = np.array(draw(st.lists(st.integers(0, 1024), min_size=n, max_size=n)), dtype=float) / 64
+    else:
+        g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, n)
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+            g[i] = g[j]
+    g[draw(st.lists(st.integers(0, n - 1), max_size=n // 2 + 1))] = 0.0
+    f = g[draw(st.permutations(range(n)))]
+    for i in range(0, n - 1, 2):
+        if draw(st.booleans()):
+            f[i] = f[i + 1] = (f[i] + f[i + 1]) / 2
+    f = f * np.array(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))) / 16
+    for v in (f, g):
+        for i, towards in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((0.0, np.inf))), max_size=3)):
+            v[i] = np.nextafter(v[i], towards)
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    return NonNegVector(f * scale), NonNegVector(g * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_holding_weak_pairs())
+def test_witness_path_ranges_hold_without_clamps(pair):
+    # The witness path relies on three ranges it does not clamp: h >= f
+    # (every raise is a difference of a non-decreasing total), each chain step
+    # has 0 < t <= 1, and the weak witness diag(f / h) D1 stays under D1.  The
+    # chain is the one the weak witness builds for h; hlp_witness(h, g) would
+    # first re-decide h against g, which an ulp of rounding in h can fail at
+    # large scales.
+    f, g = pair
+    assume(check_weak_majorize(f, g, with_witness=False).holds)
+    h = intermediate_h(f, g)
+    assert np.all(h.values >= f.values)
+    steps = submaj.relations._hlp_chain(*map(submaj.relations._Sorted, (h.values, g.values)), DEFAULT_CLASS_TOL)
+    assert all(0.0 < step.t <= 1.0 for step in steps)
+    verdict = check_submajorize(f, g)
+    assert np.all(verdict.witness.data <= verdict.certificate.completion.data)
 
 
 def test_submajorize_decides_once_and_runs_no_completion(monkeypatch):
