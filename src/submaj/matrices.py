@@ -96,14 +96,26 @@ def _classify(arr: np.ndarray, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
         raise ValueError("matrix must be square")
     if arr.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    if np.any(arr < 0):
-        raise ValueError("matrix entries must be nonnegative")
+    # One reduction and the two sums decide the common case: with no negative
+    # or NaN entry (the min is then >= 0), finite sums mean finite entries.
+    sums = None
+    if arr.min() >= 0:
+        with np.errstate(over="ignore"):
+            sums = arr.sum(axis=1), arr.sum(axis=0)
+        if not all(np.isfinite(s).all() for s in sums):
+            sums = None
+    if sums is None:
+        # An infinite, NaN or negative entry, or finite entries whose sums
+        # overflow: the entrywise checks in order, then the sums again, now
+        # with numpy's overflow warning.
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
+        if np.any(arr < 0):
+            raise ValueError("matrix entries must be nonnegative")
+        sums = arr.sum(axis=1), arr.sum(axis=0)
     arr.flags.writeable = False
 
-    row_sums = arr.sum(axis=1)
-    col_sums = arr.sum(axis=0)
+    row_sums, col_sums = sums
     rows_ok = bool(np.all(row_sums <= 1 + tol))
     cols_ok = bool(np.all(col_sums <= 1 + tol))
     doubly_stoch = bool(

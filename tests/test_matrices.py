@@ -1,4 +1,6 @@
 """Matrix classification, greedy completion, and the certificate algebra."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from submaj.matrices import (
     decompose_increasable,
     identity_matrix,
     shift_matrix,
+    _classify,
     vonneumann_complete,
     zero_matrix,
 )
@@ -86,6 +89,38 @@ class TestClassify:
         m = classify_matrix(raw)
         raw[0, 0] = 0.9
         assert m.data[0, 0] == 0.5 and not m.data.flags.writeable and raw.flags.writeable
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([[np.nan, 0.5], [0.5, 0.5]], "finite"),
+            ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+            ([[-np.inf, 0.0], [0.0, 1.0]], "finite"),
+            ([[-1.0, np.inf], [0.0, 1.0]], "finite"),
+            ([[0.5, 0.5], [np.inf, -np.inf]], "finite"),
+            ([[np.inf, 0.0], [1e308, 1e308]], "finite"),  # its finite row overflows
+            ([[1.0, -1e-300], [0.0, 1.0]], "nonnegative"),
+        ],
+    )
+    def test_rejects_non_finite_before_negative_without_warnings(self, data, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^matrix entries must be {message}$"):
+                classify_matrix(data)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_finite_sums_give_general_with_one_warning(self):
+        with pytest.warns(RuntimeWarning, match="overflow") as caught:
+            m = classify_matrix([[1e308, 1e308], [0.0, 0.0]])
+        assert len(caught) == 1
+        assert m.matrix_class is MatrixClass.GENERAL
+        assert m.row_sums.tolist() == [np.inf, 0.0] and m.col_sums.tolist() == [1e308, 1e308]
+
+    def test_private_classification_freezes_its_input_in_place(self):
+        raw = np.array([[0.5, 0.25], [0.25, 0.5]])
+        m = _classify(raw)
+        assert m.data is raw and not raw.flags.writeable
+        assert m.matrix_class is MatrixClass.DOUBLY_SUBSTOCHASTIC
 
     def test_json_round_trip(self):
         m = shift_matrix(3, "left")

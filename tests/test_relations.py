@@ -102,6 +102,38 @@ def _accumulator_hlp_chain(sf, sg, tol):
     return tuple(steps), full
 
 
+def _scan_hlp_chain(sf, sg, tol):
+    """The chain loop that recomputed d = y - x and ran two np.nonzero scans on
+    every step, kept as a reference for the incremental loop."""
+    x = sf.values
+    y = sg.values.copy()
+    scale = max(1.0, float(y.max(initial=0.0)))
+    eps = 1e-12 * scale
+    steps = []
+    while True:
+        d = y - x
+        pos = np.nonzero(d > eps)[0]
+        if pos.size == 0:
+            break
+        j = int(pos[-1])
+        neg = np.nonzero(d[j + 1 :] < 0)[0]
+        if neg.size == 0:
+            if float(np.abs(d).max()) > 10 * max(tol, eps):
+                raise RuntimeError("T-transform construction stalled; input not majorized")
+            break
+        k = j + 1 + int(neg[0])
+        delta = min(d[j], -d[k])
+        t = delta / (y[j] - y[k])
+        if d[j] <= -d[k]:
+            y[k] += delta
+            y[j] = x[j]
+        else:
+            y[j] -= delta
+            y[k] = x[k]
+        steps.append((j + 1, k + 1, float(t)))
+    return tuple(steps)
+
+
 def _partial_permutation_loop(f, g, value_tol):
     """The list-sort loop partial_permutation replaced, kept as a reference."""
     fpos = [i for i in range(f.dim) if f.values[i] > 0]
@@ -573,6 +605,88 @@ def test_witness_path_ranges_hold_without_clamps(pair):
     assert all(0.0 < step.t <= 1.0 for step in steps)
     verdict = check_submajorize(f, g)
     assert np.all(verdict.witness.data <= verdict.certificate.completion.data)
+
+
+def _chain_outcome(chain, sf, sg):
+    """The steps of a chain builder as plain tuples, or its error."""
+    try:
+        return [tuple(step) for step in chain(sf, sg, DEFAULT_CLASS_TOL)]
+    except RuntimeError as err:
+        return repr(err)
+
+
+@st.composite
+def _chain_pairs(draw):
+    """Sorted (x, y) for the chain: f and g of ``_holding_weak_pairs`` with f
+    itself (unequal totals, so the chain may stall), f raised to h through
+    ``_raised``, or f swapped with g (not majorized)."""
+    f, g = draw(_holding_weak_pairs())
+    n = max(f.dim, g.dim)
+    sf, sg = (submaj.relations._Sorted(v.padded(n).values) for v in (f, g))
+    kind = draw(st.sampled_from(("raised", "as is", "swapped")))
+    if kind == "raised":
+        sf = submaj.relations._Sorted(submaj.relations._raised(sf, sg))
+    elif kind == "swapped":
+        sf, sg = sg, sf
+    return sf, sg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chain_pairs())
+def test_incremental_chain_matches_the_scan_loop(pair):
+    # Ties, exact zeros, one-ulp moves, scales 2^-60..2^60 and unequal
+    # totals: the same steps, compared with == on floats, or the same error.
+    sf, sg = pair
+    assert _chain_outcome(submaj.relations._hlp_chain, sf, sg) == _chain_outcome(_scan_hlp_chain, sf, sg)
+
+
+def test_incremental_chain_matches_the_scan_loop_on_long_chains():
+    rng = np.random.default_rng(73)
+    for n in (300, 700):
+        g = rng.uniform(0, 1, n) * (rng.uniform(size=n) > 0.2)
+        g[rng.integers(0, n, n // 4)] = g[0]  # ties
+        f = random_doubly_substochastic(rng, n).data @ g
+        sf, sg = (submaj.relations._Sorted(v) for v in (f, g))
+        sh = submaj.relations._Sorted(submaj.relations._raised(sf, sg))
+        steps = _chain_outcome(submaj.relations._hlp_chain, sh, sg)
+        assert len(steps) > n // 2
+        assert steps == _chain_outcome(_scan_hlp_chain, sh, sg)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([2.0, 1.0, 0.0], [1.5, 1.5, 0.0]),
+        ([2.0, 0.5], [1.5, 0.5 + 5e-10]),  # the only excess is below 10 * tol; the shortfall is not
+    ],
+)
+def test_chain_on_a_pair_that_is_not_majorized_stalls_like_the_scan_loop(x, y):
+    sf, sg = (submaj.relations._Sorted(np.array(v)) for v in (x, y))
+    with pytest.raises(RuntimeError, match="stalled; input not majorized") as err:
+        submaj.relations._hlp_chain(sf, sg, DEFAULT_CLASS_TOL)
+    assert repr(err.value) == _chain_outcome(_scan_hlp_chain, sf, sg)
+
+
+def test_submajorize_scans_with_np_nonzero_a_fixed_number_of_times(monkeypatch):
+    # The decision scans once and the chain twice, however many steps it takes.
+    n = 2000
+    rng = np.random.default_rng(74)
+    g = rng.uniform(0, 1, n)
+    f = 0.9 * g[rng.permutation(n)]
+    f[: n - 1 : 2] = f[1::2] = (f[: n - 1 : 2] + f[1::2]) / 2
+    calls = []
+    nonzero = np.nonzero
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nonzero(*args, **kwargs)
+
+    monkeypatch.setattr(np, "nonzero", counted)
+    verdict = check_submajorize(NonNegVector(f), NonNegVector(g))
+    assert verdict.holds and verdict.certificate is not None
+    assert len(calls) <= 4
+    sf, sg = (submaj.relations._Sorted(v) for v in (f, g))
+    assert len(submaj.relations._hlp_chain(submaj.relations._Sorted(submaj.relations._raised(sf, sg)), sg, DEFAULT_CLASS_TOL)) > n // 2
 
 
 def test_submajorize_decides_once_and_runs_no_completion(monkeypatch):
