@@ -686,7 +686,8 @@ def test_submajorize_scans_with_np_nonzero_a_fixed_number_of_times(monkeypatch):
     assert verdict.holds and verdict.certificate is not None
     assert len(calls) <= 4
     sf, sg = (submaj.relations._Sorted(v) for v in (f, g))
-    assert len(submaj.relations._hlp_chain(submaj.relations._Sorted(submaj.relations._raised(sf, sg)), sg, DEFAULT_CLASS_TOL)) > n // 2
+    sh = submaj.relations._Sorted(submaj.relations._raised(sf, sg))
+    assert len(submaj.relations._hlp_chain(sh, sg, DEFAULT_CLASS_TOL)) > n // 2
 
 
 def test_submajorize_decides_once_and_runs_no_completion(monkeypatch):
