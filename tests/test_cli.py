@@ -1,5 +1,7 @@
 """Exit-code contract, JSON round-trips and subcommand wiring."""
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -288,10 +290,50 @@ def test_maj_tol_env_override(files, monkeypatch, capsys):
     assert main(["check", "--relation", "majorize", f, g]) == 0
 
 
-def test_selftest_passes_and_prints_per_criterion(capsys):
+def _spy_on_battery(monkeypatch, results):
+    """Replace the battery behind ``selftest`` with ``results``; return its calls."""
+    calls = []
+
+    def spy(seed, tol, tol_exact):
+        calls.append((seed, tol, tol_exact))
+        return results
+
+    monkeypatch.setattr(submaj.cli, "run_acceptance", spy)
+    return calls
+
+
+def test_selftest_passes_and_prints_per_criterion(seed0_battery, monkeypatch, capsys):
+    calls = _spy_on_battery(monkeypatch, seed0_battery)
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 13 and "[FAIL]" not in out
+    assert calls == [(0, 1e-9, 1e-12)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [r.line() for r in seed0_battery]
+    assert sum(line.startswith("[PASS]") for line in lines) == 13
+    assert re.fullmatch(r"\[PASS\] criterion  1 greedy completion: 1000 completions ok \(\d+\.\d\ds\)", lines[0])
+    assert main(["selftest", "--seed", "5"]) == 0
+    assert calls[-1] == (5, 1e-9, 1e-12)
+
+
+def test_selftest_json_gives_each_criterion_time(seed0_battery, monkeypatch, capsys):
+    _spy_on_battery(monkeypatch, seed0_battery)
+    assert main(["--json", "selftest"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["index"] for p in payload] == list(range(1, 14))
+    assert all(p["passed"] for p in payload)
+    assert [p["elapsed_s"] for p in payload] == [r.elapsed_s for r in seed0_battery]
+    assert all(isinstance(p["elapsed_s"], float) and p["elapsed_s"] > 0 for p in payload)
+
+
+def test_selftest_exits_1_when_a_criterion_fails(seed0_battery, monkeypatch, capsys):
+    failed = dataclasses.replace(seed0_battery[4], passed=False, detail="1 failure(s); first: case 0: stub")
+    _spy_on_battery(monkeypatch, [*seed0_battery[:4], failed, *seed0_battery[5:]])
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:6] for line in lines] == ["[PASS]"] * 4 + ["[FAIL]"] + ["[PASS]"] * 8
+    assert lines[4] == failed.line()
+    assert main(["--json", "selftest"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["passed"] for p in payload] == [True] * 4 + [False] + [True] * 8
 
 
 def test_bad_tolerance_combo_is_usage_error(files, capsys):
