@@ -64,7 +64,7 @@ class StochMatrix:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "data": [float(v) for v in self.data.ravel()],
+            "data": self.data.ravel().tolist(),
             "class": self.matrix_class.value,
         }
 
@@ -113,9 +113,16 @@ def _classify(arr: np.ndarray, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
         if np.any(arr < 0):
             raise ValueError("matrix entries must be nonnegative")
         sums = arr.sum(axis=1), arr.sum(axis=0)
-    arr.flags.writeable = False
+    return _from_sums(arr, *sums, tol)
 
-    row_sums, col_sums = sums
+
+def _from_sums(arr: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> StochMatrix:
+    """Freeze a finite nonnegative matrix nobody else holds, with its row and
+    column sums, and tag it with the strongest class those sums allow.
+
+    The one class rule: :func:`_classify` passes sums it reduced from the
+    entries, the witness builders sums they pushed through a T-transform chain.
+    """
     rows_ok = bool(np.all(row_sums <= 1 + tol))
     cols_ok = bool(np.all(col_sums <= 1 + tol))
     doubly_stoch = bool(
@@ -132,8 +139,8 @@ def _classify(arr: np.ndarray, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
     else:
         klass = MatrixClass.GENERAL
 
-    row_sums.flags.writeable = False
-    col_sums.flags.writeable = False
+    for a in (arr, row_sums, col_sums):
+        a.flags.writeable = False
     return StochMatrix(data=arr, row_sums=row_sums, col_sums=col_sums, matrix_class=klass)
 
 
@@ -166,16 +173,26 @@ class IncreasabilityCertificate:
     steps: tuple[AugmentationStep, ...] = ()
 
     def __post_init__(self) -> None:
+        self._check_shape_and_class()
+        if not _dominates(self.completion.data, self.base.data):
+            raise ValueError("certificate completion must dominate the base entrywise")
+
+    def _check_shape_and_class(self) -> None:
         if self.base.n != self.completion.n:
             raise ValueError("certificate base and completion must share a dimension")
         if self.completion.matrix_class is not MatrixClass.DOUBLY_STOCHASTIC:
             raise ValueError("certificate completion must be doubly stochastic")
-        block = max(1, 2**14 // self.base.n)  # rows per comparison: no n x n temporary
-        if any(
-            np.any(self.completion.data[r : r + block] < self.base.data[r : r + block] - DEFAULT_CLASS_TOL)
-            for r in range(0, self.base.n, block)
-        ):
-            raise ValueError("certificate completion must dominate the base entrywise")
+
+    @classmethod
+    def _by_construction(cls, base: StochMatrix, completion: StochMatrix) -> "IncreasabilityCertificate":
+        """The certificate of a base built as fl(s * completion) row by row with
+        0 <= s <= 1: each entry is at most the completion's (s x <= x, and
+        rounding is monotone), so only the O(n^2) dominance scan is skipped."""
+        cert = object.__new__(cls)
+        for name, value in (("base", base), ("completion", completion), ("steps", ())):
+            object.__setattr__(cert, name, value)
+        cert._check_shape_and_class()
+        return cert
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,6 +214,16 @@ class IncreasabilityCertificate:
             completion=StochMatrix.from_json_dict(obj["completion"], tol),
             steps=steps,
         )
+
+
+def _dominates(upper: np.ndarray, lower: np.ndarray) -> bool:
+    """Whether ``upper >= lower - DEFAULT_CLASS_TOL`` entrywise, compared in row
+    blocks so that no n x n temporary is made."""
+    block = max(1, 2**14 // lower.shape[0])
+    return not any(
+        np.any(upper[r : r + block] < lower[r : r + block] - DEFAULT_CLASS_TOL)
+        for r in range(0, lower.shape[0], block)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +270,7 @@ def vonneumann_complete(
         c[j] -= t
         steps.append(AugmentationStep(i + 1, j + 1, float(t)))
 
-    completion = classify_matrix(a, tol)
+    completion = _classify(a, tol)
     if completion.matrix_class is not MatrixClass.DOUBLY_STOCHASTIC:
         raise RuntimeError("completion failed to reach a doubly stochastic matrix")
     return IncreasabilityCertificate(base=d, completion=completion, steps=tuple(steps))
@@ -261,7 +288,7 @@ def decompose_increasable(
     diff = cert.completion.data - d.data
     if diff.min() < -tol_exact:
         raise ValueError("certificate completion does not dominate the matrix")
-    d2 = classify_matrix(np.clip(diff, 0.0, None), tol)
+    d2 = _classify(np.clip(diff, 0.0, None), tol)
     if np.max(np.abs(cert.completion.data - (d.data + d2.data))) > tol_exact:
         raise RuntimeError("decomposition identity d1 = d + d2 violated")
     return Decomposition(d1=cert.completion, d2=d2)
@@ -271,7 +298,7 @@ def compose(a: StochMatrix, b: StochMatrix, tol: float = DEFAULT_CLASS_TOL) -> S
     """Matrix product, reclassified; substochastic classes are closed under it."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return classify_matrix(a.data @ b.data, tol)
+    return _classify(a.data @ b.data, tol)
 
 
 def compose_certificates(
@@ -294,7 +321,7 @@ def convex_combine(
         raise ValueError(f"mixing coefficient must lie in [0, 1], got {t}")
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return classify_matrix(t * a.data + (1.0 - t) * b.data, tol)
+    return _classify(t * a.data + (1.0 - t) * b.data, tol)
 
 
 def convex_combine_certificates(

@@ -27,6 +27,15 @@ O(n log n + steps) in all rather than O(n) per step.  A chain's product is
 written once, directly in original coordinates, by mixing rows of a
 permutation matrix in place: O(n) per step, O(n * steps) in all, with the
 n x n result as the only dense array.
+
+The dense arrays are written and never scanned again.  Their classes follow
+from the chain in O(n + steps): with every t in [0, 1] and 0 <= s <= 1
+(both checked) the entries are nonnegative, D1's row sums are ones pushed
+through the steps and its column sums ones pulled back through them (each T
+is symmetric), and W's are s times D1's row sums and s pulled back.  W is
+written as fl(s_i * D1[i, j]), which never exceeds D1[i, j], so the
+certificate dominates by construction and skips the entrywise scan that
+every other certificate runs.
 """
 from __future__ import annotations
 
@@ -39,7 +48,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import DEFAULT_CLASS_TOL
-from .matrices import IncreasabilityCertificate, StochMatrix, _classify
+from .matrices import IncreasabilityCertificate, StochMatrix, _from_sums
 from .vectors import NonNegVector, common_dim
 
 
@@ -125,14 +134,52 @@ def _chain_product(steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np
 
     Starts from the permutation matrix with out[rows[k], cols[k]] = 1.  A step
     mixing sorted rows i and j is the same mix of the rows they land on,
-    rows[i-1] and rows[j-1], so every step updates the result in place.
+    rows[i-1] and rows[j-1], so every step updates those two rows in place,
+    with two length-n buffers for t times each row and no other temporary.
+    Each entry is rounded as in ``(1 - t) * a + t * b``.
     """
-    out = np.zeros((len(rows), len(rows)))
+    n = len(rows)
+    out = np.zeros((n, n))
     out[rows, cols] = 1.0
+    ta, tb = np.empty(n), np.empty(n)
     for i, j, t in steps:
-        a, b = rows[i - 1], rows[j - 1]
-        out[a], out[b] = (1 - t) * out[a] + t * out[b], t * out[a] + (1 - t) * out[b]
+        a, b = out[rows[i - 1]], out[rows[j - 1]]  # views
+        np.multiply(a, t, out=ta)
+        np.multiply(b, t, out=tb)
+        a *= 1 - t
+        a += tb
+        b *= 1 - t
+        b += ta
     return out
+
+
+def _mixed(steps, x: list) -> list:
+    """The list x pushed through the T-transforms ``steps`` in the order given,
+    in place.  Each T is symmetric, so the steps reversed pull x through the
+    transpose of their product."""
+    for i, j, t in steps:
+        a, b = x[i - 1], x[j - 1]
+        x[i - 1], x[j - 1] = (1 - t) * a + t * b, t * a + (1 - t) * b
+    return x
+
+
+def _chain_matrix(
+    steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np.ndarray, tol: float
+) -> StochMatrix:
+    """:func:`_chain_product`, classified from the chain: O(n + steps) beside the dense write.
+
+    With every t in [0, 1] (checked) each entry is a convex combination of
+    nonnegative ones, so the product is nonnegative and finite.  Its row sums
+    are ones pushed through the steps and scattered by ``rows``, its column
+    sums ones pulled through them in reverse and scattered by ``cols``.
+    """
+    if not all(0.0 <= t <= 1.0 for _, _, t in steps):
+        raise RuntimeError("T-transform coefficient outside [0, 1]")
+    n = len(rows)
+    row_sums, col_sums = np.empty(n), np.empty(n)
+    row_sums[rows] = _mixed(steps, [1.0] * n)
+    col_sums[cols] = _mixed(steps[::-1], [1.0] * n)
+    return _from_sums(_chain_product(steps, rows, cols), row_sums, col_sums, tol)
 
 
 class _Sorted:
@@ -198,7 +245,7 @@ def check_majorize(
     sf, sg, failed = _decide(f, g, tol, equal_totals=True)
     if failed is not None:
         return failed
-    witness = _hlp_product(sf, sg, tol) if with_witness else None
+    witness = _chain_matrix(_hlp_chain(sf, sg, tol), sf.order, sg.order, tol) if with_witness else None
     return RelationVerdict(holds=True, witness=witness, message="majorization holds")
 
 
@@ -227,8 +274,9 @@ def check_submajorize(
     Coincides with the weak check on finite vectors.  On acceptance the
     witness is W = diag(s) D1 with D1 doubly stochastic, and the certificate
     is that factor: ``IncreasabilityCertificate(base=W, completion=D1)``.
-    D1 dominates W entrywise, which is exactly increasability; the
-    certificate's ``steps`` is empty, since no greedy completion runs.
+    D1 dominates W entrywise by construction, which is exactly
+    increasability, so the entrywise scan is not run; the certificate's
+    ``steps`` is empty, since no greedy completion runs.
     """
     sf, sg, failed = _decide(f, g, tol, equal_totals=False)
     if failed is not None:
@@ -237,7 +285,7 @@ def check_submajorize(
     if not with_witness:
         return RelationVerdict(holds=True, message=message)
     witness, d1 = _weak_factors(sf, sg, tol)
-    cert = IncreasabilityCertificate(base=witness, completion=d1)
+    cert = IncreasabilityCertificate._by_construction(witness, d1)  # W = fl(s * D1) <= D1
     return RelationVerdict(holds=True, witness=witness, certificate=cert, message=message)
 
 
@@ -260,7 +308,7 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
         steps=steps,
         pre_perm=tuple((sg.order + 1).tolist()),
         post_perm=tuple((sf.order + 1).tolist()),
-        product=_classify(_chain_product(steps, sf.order, sg.order), tol),
+        product=_chain_matrix(steps, sf.order, sg.order, tol),
     )
 
 
@@ -313,11 +361,6 @@ def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[TTransformStep, ..
     return tuple(steps)
 
 
-def _hlp_product(sf: _Sorted, sg: _Sorted, tol: float) -> StochMatrix:
-    """The product of the :func:`hlp_witness` chain, classified."""
-    return _classify(_chain_product(_hlp_chain(sf, sg, tol), sf.order, sg.order), tol)
-
-
 def intermediate_h(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL) -> NonNegVector:
     """Raise f entrywise to an h with f <= h and h majorized by g.
 
@@ -354,18 +397,28 @@ def weak_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TO
 
 def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, StochMatrix]:
     """The witness W = diag(s) D1 of :func:`weak_witness` and its factor D1
-    (the identity for the all-zero f)."""
+    (the identity for the all-zero f, with s = 0).
+
+    Both are classified from the chain: W's row sums are s times D1's, its
+    column sums s pulled through the steps.  s is checked to lie in [0, 1], so
+    W is nonnegative and every entry fl(s_i * D1[i, j]) is at most D1[i, j].
+    D1 and W are the only n x n arrays made.
+    """
     f = sf.raw
-    n = f.size
-    if not np.any(f > 0):
-        return _classify(np.zeros((n, n)), tol), _classify(np.eye(n), tol)
-    h = _raised(sf, sg)
-    # _classify takes each fresh product as it is, so at most two n x n
-    # arrays (D1 and W) are alive at once.
-    d1 = _hlp_product(_Sorted(h), sg, tol)
-    safe = np.where(h > 0, h, 1.0)
-    scales = np.where(h > 0, f / safe, 1.0)  # in [0, 1]: _raised only adds to f
-    return _classify(d1.data * scales[:, None], tol), d1
+    if np.any(f > 0):
+        h = _raised(sf, sg)
+        sh = _Sorted(h)
+        steps, rows = _hlp_chain(sh, sg, tol), sh.order
+        scales = np.where(h > 0, f / np.where(h > 0, h, 1.0), 1.0)  # _raised only adds to f
+    else:
+        steps, rows = (), sg.order
+        scales = np.zeros(f.size)
+    if not (scales.min() >= 0.0 and scales.max() <= 1.0):
+        raise RuntimeError("weak witness row scales outside [0, 1]")
+    d1 = _chain_matrix(steps, rows, sg.order, tol)
+    col_sums = np.empty(f.size)
+    col_sums[sg.order] = _mixed(steps[::-1], scales[rows].tolist())
+    return _from_sums(d1.data * scales[:, None], scales * d1.row_sums, col_sums, tol), d1
 
 
 def strict_permutation(f: NonNegVector, g: NonNegVector, value_tol: float = 0.0) -> Optional[tuple[int, ...]]:
@@ -423,9 +476,17 @@ def oracle_majorize_bruteforce(
     Enumerates the distinct permutations of g as explicit polytope vertices
     and minimizes, by linear programming, the sup-norm distance z from f to
     the polytope (strong), or the largest entrywise undershoot of f by a
-    polytope point (weak).  The relation holds iff the optimum is at most
-    ``tol``.  This computation path is fully separate from the
+    polytope point (weak).  This computation path is fully separate from the
     sorted-partial-sum checks.  Dimensions above 6 are rejected.
+
+    Its rule: strong holds iff the totals of f and g differ by at most
+    ``n * tol`` and some polytope point is within ``tol`` of f in every
+    coordinate; weak holds iff some polytope point falls short of f by at
+    most ``tol`` in every coordinate.  The tolerance bounds residuals
+    entrywise, whereas the checks bound each sorted prefix sum by ``tol``, so
+    the two can disagree within a few ``tol`` of the boundary: for
+    f = (1 + 9e-10, 1 + 9e-10), g = (1, 1) and tol = 1e-9 the oracle accepts
+    and :func:`check_majorize` rejects at position 2.
     """
     if relation not in ("strong", "weak"):
         raise ValueError(f'relation must be "strong" or "weak", got {relation!r}')

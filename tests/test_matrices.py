@@ -1,9 +1,11 @@
 """Matrix classification, greedy completion, and the certificate algebra."""
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+import submaj.matrices
 from submaj.config import DEFAULT_EXACT_TOL
 from submaj.matrices import (
     IncreasabilityCertificate,
@@ -132,6 +134,15 @@ class TestClassify:
         with pytest.raises(ValueError):
             StochMatrix.from_json_dict({"n": 2, "data": [1.0, 2.0, 3.0]})
 
+    def test_json_is_byte_identical_to_the_float_loop(self):
+        # -0.0, a subnormal, thirds and wide exponents: tolist() gives the
+        # same Python floats as float() on each entry, so the same text.
+        data = np.array([[-0.0, 5e-324, 1 / 3], [2 / 3, 1e-300, 0.0], [0.1, 0.2, 0.7]])
+        m = _classify(data.copy())
+        old = {"n": 3, "data": [float(v) for v in m.data.ravel()], "class": m.matrix_class.value}
+        assert json.dumps(m.to_json_dict(), indent=2) == json.dumps(old, indent=2)
+        assert json.dumps(m.to_json_dict()).count("-0.0") == 1
+
 
 class TestApply:
     def test_identity(self):
@@ -218,6 +229,37 @@ class TestCompletion:
         with pytest.raises(ValueError, match="dominate"):
             IncreasabilityCertificate(base=identity_matrix(2), completion=classify_matrix([[0, 1], [1, 0]]))
 
+    def test_certificate_json_rejects_a_completion_that_does_not_dominate(self):
+        doc = {
+            "base": identity_matrix(2).to_json_dict(),
+            "completion": classify_matrix([[0, 1], [1, 0]]).to_json_dict(),
+            "steps": [],
+        }
+        with pytest.raises(ValueError, match="dominate"):
+            IncreasabilityCertificate.from_json_dict(doc)
+
+    def test_every_dense_certificate_runs_the_dominance_scan(self, monkeypatch):
+        calls = []
+        real = submaj.matrices._dominates
+        monkeypatch.setattr(submaj.matrices, "_dominates", lambda *a: calls.append(1) or real(*a))
+        ca = vonneumann_complete(classify_matrix([[0.0, 0.5], [0.5, 0.0]]))
+        cb = vonneumann_complete(classify_matrix([[0.25, 0.0], [0.5, 0.25]]))
+        assert len(calls) == 2
+        IncreasabilityCertificate.from_json_dict(ca.to_json_dict())
+        compose_certificates(ca, cb)
+        convex_combine_certificates(0.3, ca, cb)
+        IncreasabilityCertificate(base=ca.base, completion=ca.completion)
+        assert len(calls) == 6
+
+    def test_certificate_by_construction_still_checks_shape_and_class(self):
+        base = classify_matrix([[0.9, 0.0], [0.0, 0.9]])
+        with pytest.raises(ValueError, match="doubly stochastic"):
+            IncreasabilityCertificate._by_construction(base, base)
+        with pytest.raises(ValueError, match="share a dimension"):
+            IncreasabilityCertificate._by_construction(base, identity_matrix(3))
+        cert = IncreasabilityCertificate._by_construction(base, identity_matrix(2))
+        assert (cert.base, cert.steps) == (base, ())
+
 
 class TestDecomposition:
     def test_doubly_stochastic_base_gets_zero_residual(self):
@@ -301,6 +343,19 @@ class TestAlgebra:
             for cert in (prod, mix):
                 assert cert.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
                 assert np.all(cert.completion.data >= cert.base.data - 1e-9)
+
+
+def test_fresh_products_are_classified_without_a_copy(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify_matrix copies an array that is already fresh")
+
+    rng = np.random.default_rng(13)
+    a, b = random_doubly_substochastic(rng, 5), random_doubly_substochastic(rng, 5)
+    monkeypatch.setattr(submaj.matrices, "classify_matrix", forbidden)
+    cert = vonneumann_complete(a)
+    decompose_increasable(a, cert)
+    compose(a, b)
+    convex_combine(0.4, a, b)
 
 
 class TestShift:
