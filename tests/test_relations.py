@@ -77,7 +77,6 @@ def _accumulator_hlp_chain(sf, sg, tol):
     y = sg.values.copy()
     scale = max(1.0, float(y.max(initial=0.0)))
     eps = 1e-12 * scale
-    acc = np.eye(x.size)
     steps = []
     while True:
         d = y - x
@@ -100,19 +99,13 @@ def _accumulator_hlp_chain(sf, sg, tol):
         else:
             y[j] -= delta
             y[k] = x[k]
-        row_j = acc[j].copy()
-        row_k = acc[k].copy()
-        acc[j] = (1 - t) * row_j + t * row_k
-        acc[k] = t * row_j + (1 - t) * row_k
         steps.append((j + 1, k + 1, float(t)))
-    full = np.empty_like(acc)
-    full[np.ix_(sf.order, sg.order)] = acc
-    return tuple(steps), full
+    return tuple(steps), _accumulated_product(steps, sf.order, sg.order)
 
 
 def _accumulated_product(steps, rows, cols):
-    """The accumulator of ``_accumulator_hlp_chain`` run on given steps: rows
-    mixed from copies in sorted coordinates, scattered into a second array."""
+    """The accumulator of ``_accumulator_hlp_chain``: rows mixed from copies
+    in sorted coordinates, scattered into a second array."""
     acc = np.eye(len(rows))
     for j, k, t in steps:
         row_j = acc[j - 1].copy()
