@@ -10,7 +10,7 @@ augmentation trace.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,15 @@ _CLASS_RANK = {
 
 @dataclass(frozen=True, eq=False)
 class StochMatrix:
-    """Square nonnegative matrix with cached sums and its strongest class."""
+    """Square nonnegative matrix with cached sums and its strongest class.
+
+    A matrix classified from an array holds that array as ``data``.  The
+    witnesses that :mod:`submaj.relations` builds are held as their
+    T-transform chain instead: their sums and class come from the chain, and
+    :func:`apply` runs the chain, so neither needs the entries.  Their
+    ``data`` is built on its first read and then kept, frozen; at large n
+    that read allocates n^2 floats (80 GB at n = 10^5).
+    """
 
     data: np.ndarray
     row_sums: np.ndarray
@@ -55,7 +63,7 @@ class StochMatrix:
 
     @property
     def n(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.row_sums.shape[0])
 
     def entry(self, i: int, j: int) -> float:
         """Entry at 1-based position (i, j)."""
@@ -116,12 +124,48 @@ def _classify(arr: np.ndarray, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
     return _from_sums(arr, *sums, tol)
 
 
-def _from_sums(arr: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> StochMatrix:
+class _Structured(StochMatrix):
+    """A :class:`StochMatrix` held in a structured form instead of as entries.
+
+    ``form.dense()`` returns a fresh n x n array of the entries and
+    ``form.matvec(x)`` the action on a vector without that array.  ``data`` is
+    ``form.dense()``, built on the first read and kept, frozen, so every read
+    returns the same array object.
+    """
+
+    def __init__(self, form, row_sums: np.ndarray, col_sums: np.ndarray, matrix_class: MatrixClass) -> None:
+        for name, value in (
+            ("_form", form), ("_data", None), ("row_sums", row_sums), ("col_sums", col_sums),
+            ("matrix_class", matrix_class),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            arr = self._form.dense()
+            arr.flags.writeable = False
+            object.__setattr__(self, "_data", arr)
+        return self._data
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:  # the dataclass repr would build the n x n array
+        built = "built" if self._data is not None else "not built"
+        return f"StochMatrix(n={self.n}, matrix_class={self.matrix_class}, data {built})"
+
+
+def _from_sums(data, row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> StochMatrix:
     """Freeze a finite nonnegative matrix nobody else holds, with its row and
     column sums, and tag it with the strongest class those sums allow.
 
-    The one class rule: :func:`_classify` passes sums it reduced from the
-    entries, the witness builders sums they pushed through a T-transform chain.
+    The one class rule: :func:`_classify` passes an array and the sums it
+    reduced from the entries, the witness builders a T-transform chain form
+    (see :class:`_Structured`) and the sums they pushed through the chain.
     """
     rows_ok = bool(np.all(row_sums <= 1 + tol))
     cols_ok = bool(np.all(col_sums <= 1 + tol))
@@ -139,15 +183,25 @@ def _from_sums(arr: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray, tol:
     else:
         klass = MatrixClass.GENERAL
 
-    for a in (arr, row_sums, col_sums):
+    for a in (row_sums, col_sums):
         a.flags.writeable = False
-    return StochMatrix(data=arr, row_sums=row_sums, col_sums=col_sums, matrix_class=klass)
+    if not isinstance(data, np.ndarray):
+        return _Structured(data, row_sums, col_sums, klass)
+    data.flags.writeable = False
+    return StochMatrix(data=data, row_sums=row_sums, col_sums=col_sums, matrix_class=klass)
 
 
 def apply(m: StochMatrix, f: NonNegVector) -> NonNegVector:
-    """Matrix action (Mf)(i) = sum_j M[i,j] f(j)."""
+    """Matrix action (Mf)(i) = sum_j M[i,j] f(j).
+
+    A witness held as its T-transform chain pushes f through the steps in
+    O(n + steps), without building its n x n array; its result differs from
+    ``m.data @ f`` by rounding only.
+    """
     if m.n != f.dim:
         raise ValueError(f"dimension mismatch: matrix is {m.n}x{m.n}, vector has dim {f.dim}")
+    if isinstance(m, _Structured):
+        return NonNegVector(m._form.matvec(f.values))
     return NonNegVector(m.data @ f.values)
 
 

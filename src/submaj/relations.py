@@ -23,19 +23,25 @@ tie-broken order is computed only when a witness, h or a permutation is
 built, and the witness is built from that same sorted data.
 The chain itself picks each step from index sets it keeps up to date (j,
 the last position with y - x > eps, and the sorted positions with y < x),
-O(n log n + steps) in all rather than O(n) per step.  A chain's product is
-written once, directly in original coordinates, by mixing rows of a
-permutation matrix in place: O(n) per step, O(n * steps) in all, with the
-n x n result as the only dense array.
+O(n log n + steps) in all rather than O(n) per step.
 
-The dense arrays are written and never scanned again.  Their classes follow
-from the chain in O(n + steps): with every t in [0, 1] and 0 <= s <= 1
-(both checked) the entries are nonnegative, D1's row sums are ones pushed
-through the steps and its column sums ones pulled back through them (each T
-is symmetric), and W's are s times D1's row sums and s pulled back.  W is
-written as fl(s_i * D1[i, j]), which never exceeds D1[i, j], so the
-certificate dominates by construction and skips the entrywise scan that
-every other certificate runs.
+Every witness (W, D1, the majorization witness, ``hlp_witness().product``)
+is held as its chain: the steps, the two sort orders and, for W, the row
+scales s.  Its class follows from the chain in O(n + steps): with every t in
+[0, 1] and 0 <= s <= 1 (both checked) the entries are nonnegative, D1's row
+sums are ones pushed through the steps and its column sums ones pulled back
+through them (each T is symmetric), and W's are s times D1's row sums and s
+pulled back.  :func:`~submaj.matrices.apply` pushes a vector through the
+steps the same way.  A verdict with its witness therefore costs
+O(n log n + steps) time and O(n + steps) memory.
+
+The n x n arrays are built only when ``data`` is first read, and then kept.
+D1's is written once, in original coordinates, by mixing rows of a
+permutation matrix in place (O(n) per step); W's is fl(s_i * D1[i, j]) from
+it, so reading both builds D1's once, in either order.  At large n a read
+allocates n^2 floats (80 GB at n = 10^5).  Since fl(s_i * D1[i, j]) never
+exceeds D1[i, j], the certificate dominates by construction and skips the
+entrywise scan that every other certificate runs.
 """
 from __future__ import annotations
 
@@ -163,23 +169,56 @@ def _mixed(steps, x: list) -> list:
     return x
 
 
+class _ChainForm:
+    """diag(s) P_f^T (T_m ... T_1) P_g held as its parts: the steps, the 0-based
+    sort orders ``rows`` of f and ``cols`` of g, and the row scales s (None for
+    ones).  The form of a chain-backed :class:`StochMatrix`.
+
+    A scaled form takes its dense array from ``factor``, the unscaled matrix
+    of the same chain, as fl(s_i * factor[i, j]), so the chain product is
+    built once for both.
+    """
+
+    def __init__(self, steps, rows, cols, scales=None, factor=None) -> None:
+        self.steps, self.rows, self.cols = steps, rows, cols
+        self.scales, self.factor = scales, factor
+
+    def dense(self) -> np.ndarray:
+        if self.scales is None:
+            return _chain_product(self.steps, self.rows, self.cols)
+        return self.factor.data * self.scales[:, None]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """x gathered by ``cols``, pushed through the steps, scattered by ``rows``."""
+        y = np.empty(x.size)
+        y[self.rows] = _mixed(self.steps, x[self.cols].tolist())
+        return y if self.scales is None else self.scales * y
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """The transpose's action: the same path backwards, the steps reversed."""
+        if self.scales is not None:
+            x = self.scales * x
+        y = np.empty(x.size)
+        y[self.cols] = _mixed(self.steps[::-1], x[self.rows].tolist())
+        return y
+
+
 def _chain_matrix(
     steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np.ndarray, tol: float
 ) -> StochMatrix:
-    """:func:`_chain_product`, classified from the chain: O(n + steps) beside the dense write.
+    """The chain's product as a chain-backed matrix, classified in O(n + steps).
 
     With every t in [0, 1] (checked) each entry is a convex combination of
     nonnegative ones, so the product is nonnegative and finite.  Its row sums
-    are ones pushed through the steps and scattered by ``rows``, its column
-    sums ones pulled through them in reverse and scattered by ``cols``.
+    are ones pushed through the steps, its column sums ones pulled back
+    through them.  :func:`_chain_product` writes its entries on the first read
+    of ``data``.
     """
     if not all(0.0 <= t <= 1.0 for _, _, t in steps):
         raise RuntimeError("T-transform coefficient outside [0, 1]")
-    n = len(rows)
-    row_sums, col_sums = np.empty(n), np.empty(n)
-    row_sums[rows] = _mixed(steps, [1.0] * n)
-    col_sums[cols] = _mixed(steps[::-1], [1.0] * n)
-    return _from_sums(_chain_product(steps, rows, cols), row_sums, col_sums, tol)
+    form = _ChainForm(steps, rows, cols)
+    ones = np.ones(len(rows))
+    return _from_sums(form, form.matvec(ones), form.rmatvec(ones), tol)
 
 
 class _Sorted:
@@ -277,6 +316,11 @@ def check_submajorize(
     D1 dominates W entrywise by construction, which is exactly
     increasability, so the entrywise scan is not run; the certificate's
     ``steps`` is empty, since no greedy completion runs.
+
+    W and D1 are held as their T-transform chain, with sums and classes from
+    it, in O(n + steps) memory.  Their n x n arrays are built on the first
+    read of ``data`` (D1's once for both) and then kept; at large n that
+    read allocates n^2 floats.
     """
     sf, sg, failed = _decide(f, g, tol, equal_totals=False)
     if failed is not None:
@@ -299,8 +343,9 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
     delta = min(y[j]-x[j], x[k]-y[k]) moves y closer while pinning at least
     one more coordinate exactly.  Each step changes y only at j and k, so the
     chain updates j and the set {y < x} instead of rescanning them:
-    O(n log n + steps) in all.  The product is written in original
-    coordinates through both rearrangement permutations.
+    O(n log n + steps) in all.  The product is held as the chain; its dense
+    array, in original coordinates through both rearrangement permutations,
+    is written on the first read of ``product.data``.
     """
     sf, sg = _require(f, g, tol, equal_totals=True)
     steps = _hlp_chain(sf, sg, tol)
@@ -399,10 +444,11 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     """The witness W = diag(s) D1 of :func:`weak_witness` and its factor D1
     (the identity for the all-zero f, with s = 0).
 
-    Both are classified from the chain: W's row sums are s times D1's, its
-    column sums s pulled through the steps.  s is checked to lie in [0, 1], so
-    W is nonnegative and every entry fl(s_i * D1[i, j]) is at most D1[i, j].
-    D1 and W are the only n x n arrays made.
+    Both are held as the chain and classified from it: W's row sums are s
+    times D1's, its column sums s pulled back through the steps.  s is checked
+    to lie in [0, 1], so W is nonnegative and every entry fl(s_i * D1[i, j])
+    is at most D1[i, j].  No n x n array is made here; reading either ``data``
+    builds D1's once and W's from it.
     """
     f = sf.raw
     if np.any(f > 0):
@@ -416,9 +462,8 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     if not (scales.min() >= 0.0 and scales.max() <= 1.0):
         raise RuntimeError("weak witness row scales outside [0, 1]")
     d1 = _chain_matrix(steps, rows, sg.order, tol)
-    col_sums = np.empty(f.size)
-    col_sums[sg.order] = _mixed(steps[::-1], scales[rows].tolist())
-    return _from_sums(d1.data * scales[:, None], scales * d1.row_sums, col_sums, tol), d1
+    form = _ChainForm(steps, rows, sg.order, scales, d1)
+    return _from_sums(form, scales * d1.row_sums, form.rmatvec(np.ones(f.size)), tol), d1
 
 
 def strict_permutation(f: NonNegVector, g: NonNegVector, value_tol: float = 0.0) -> Optional[tuple[int, ...]]:

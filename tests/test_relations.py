@@ -445,9 +445,13 @@ class TestHlpWitness:
                 with monkeypatch.context() as patched:
                     patched.setattr(submaj.relations, "_chain_product", _accumulated_product)
                     before = check(f, g)
-                assert np.array_equal(verdict.witness.data, before.witness.data)
+                    # Built on the first read, so read while the accumulator is in place.
+                    before_data = before.witness.data
+                    if check is check_submajorize:
+                        before_completion = before.certificate.completion.data
+                assert np.array_equal(verdict.witness.data, before_data)
                 if check is check_submajorize:
-                    assert np.array_equal(verdict.certificate.completion.data, before.certificate.completion.data)
+                    assert np.array_equal(verdict.certificate.completion.data, before_completion)
                 # The chain from the (raised) f itself: steps and product.
                 h = f if check is check_majorize else intermediate_h(f, g)
                 sh, sg, _ = submaj.relations._decide(h, g, DEFAULT_CLASS_TOL, equal_totals=True)
@@ -458,8 +462,8 @@ class TestHlpWitness:
         assert min(held.values()) >= 300
 
     def test_majorize_witness_keeps_one_dense_array_alive(self):
-        # The product is written in place into the witness itself: no
-        # sorted-coordinate accumulator beside it.
+        # The product is written in place into the witness itself, on the
+        # first read of its data: no sorted-coordinate accumulator beside it.
         n = 400
         g = np.random.default_rng(72).uniform(0, 1, n)
         f = g[::-1].copy()
@@ -467,6 +471,7 @@ class TestHlpWitness:
         tracemalloc.start()
         try:
             verdict = check_majorize(NonNegVector(f), NonNegVector(g))
+            verdict.witness.data
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -728,15 +733,15 @@ def test_submajorize_decides_once_and_runs_no_completion(monkeypatch):
 
 
 def test_submajorize_keeps_two_dense_arrays_alive():
-    # W and its factor D1 are the only n x n arrays at the peak: classification
-    # takes the fresh products without copying, and the certificate compares
-    # them without an n x n temporary.
+    # Reading both arrays makes W and its factor D1 the only n x n arrays at
+    # the peak: D1 is built once and W scaled from it.
     n = 400
     g = NonNegVector(np.random.default_rng(71).uniform(0, 1, n))
     f = NonNegVector(0.9 * g.values)
     tracemalloc.start()
     try:
         verdict = check_submajorize(f, g)
+        verdict.witness.data, verdict.certificate.completion.data
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -756,11 +761,12 @@ def _witness_pairs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_witness_pairs())
-def test_witness_factors_match_the_dense_reference(pair):
+@given(_witness_pairs(), st.booleans())
+def test_witness_factors_match_the_dense_reference(pair, completion_first):
     # W, D1 and the majorization witness bitwise equal to the tuple-assigning
-    # builder (scaled by s for W), with the class the dense sums give and
-    # structural sums within (n + 2 steps) eps of the dense ones.
+    # builder (scaled by s for W), whichever of W and D1 is read first, with
+    # the class the dense sums give and structural sums within (n + 2 steps)
+    # eps of the dense ones.
     f, g = pair
     n = max(f.dim, g.dim)
     f2, g2 = f.padded(n).values, g.padded(n).values
@@ -777,6 +783,8 @@ def test_witness_factors_match_the_dense_reference(pair):
             steps, rows, s = (), sg.order, np.zeros(n)
         d1 = _tuple_chain_product(steps, rows, sg.order)
         expected += [(verdict.witness, d1 * s[:, None], steps), (verdict.certificate.completion, d1, steps)]
+        if completion_first:
+            expected.reverse()
     major = check_majorize(f, g)
     if major.holds:
         steps = submaj.relations._hlp_chain(sf, sg, DEFAULT_CLASS_TOL)
@@ -787,6 +795,94 @@ def test_witness_factors_match_the_dense_reference(pair):
         bound = (n + 2 * len(steps)) * np.finfo(float).eps
         assert np.max(np.abs(got.row_sums - want.sum(axis=1))) <= bound
         assert np.max(np.abs(got.col_sums - want.sum(axis=0))) <= bound
+
+
+def _counting_chain_product(monkeypatch, refuse=False):
+    """Count the calls of the dense builder; with ``refuse``, fail each one
+    before it allocates."""
+    calls = []
+    real = submaj.relations._chain_product
+
+    def spy(*args):
+        calls.append(1)
+        if refuse:
+            raise AssertionError("_chain_product called")
+        return real(*args)
+
+    monkeypatch.setattr(submaj.relations, "_chain_product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("completion_first", [False, True])
+def test_dense_arrays_are_built_once_on_first_read(monkeypatch, completion_first):
+    calls = _counting_chain_product(monkeypatch)
+    g = NonNegVector(np.random.default_rng(75).uniform(0, 1, 50))
+    f = NonNegVector(0.9 * g.values[::-1])
+    verdict = check_submajorize(f, g)
+    w, d1 = verdict.witness, verdict.certificate.completion
+    assert calls == []
+    first, second = (d1, w) if completion_first else (w, d1)
+    arrays = [first.data, second.data]
+    assert len(calls) == 1
+    assert first.data is arrays[0] and second.data is arrays[1]
+    assert not any(a.flags.writeable for a in arrays)
+    assert w.data.tobytes() == (d1.data * (f.values / intermediate_h(f, g).values)[:, None]).tobytes()
+    assert len(calls) == 1
+    with pytest.raises(AttributeError):
+        w.data = d1.data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_witness_pairs(), st.integers(0, 2**32 - 1))
+def test_chain_apply_matches_the_dense_product(pair, seed):
+    # apply() runs the chain in O(n + steps); the dense product rounds every
+    # entry along the same steps and then sums n terms.
+    f, g = pair
+    witnesses = []
+    verdict = check_submajorize(f, g)
+    if verdict.holds:
+        witnesses += [verdict.witness, verdict.certificate.completion]
+    major = check_majorize(f, g)
+    if major.holds:
+        witnesses.append(major.witness)
+    for m in witnesses:
+        x = np.random.default_rng(seed).uniform(0, 1, m.n) * 2.0 ** (seed % 121 - 60)
+        bound = (m.n + 2 * len(m._form.steps)) * np.finfo(float).eps * x.max()
+        assert np.max(np.abs(apply(m, NonNegVector(x)).values - m.data @ x)) <= bound
+
+
+def _perfbench_weak_pair(n):
+    from perfbench import inputs
+
+    return inputs.weak_pair(np.random.default_rng([1, 1]), n)
+
+
+def test_submajorize_at_n_1e5_builds_no_dense_array(monkeypatch):
+    # A dense array at this size would take 80 GB: the spy refuses before any
+    # allocation, and no line here reads .data.
+    from perfbench.checks import residual_bound
+
+    calls = _counting_chain_product(monkeypatch, refuse=True)
+    f, g = _perfbench_weak_pair(10**5)
+    verdict = check_submajorize(NonNegVector(f), NonNegVector(g))
+    assert verdict.holds
+    assert verdict.witness.matrix_class is MatrixClass.DOUBLY_SUBSTOCHASTIC
+    assert verdict.certificate.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
+    assert np.max(np.abs(apply(verdict.witness, NonNegVector(g)).values - f)) <= residual_bound(g)
+    assert calls == []
+
+
+def test_submajorize_peak_is_linear_in_n():
+    # The dense path would hold two 3.2 GB arrays at n = 2 * 10^4.
+    f, g = (NonNegVector(v) for v in _perfbench_weak_pair(2 * 10**4))
+    tracemalloc.start()
+    try:
+        verdict = check_submajorize(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.certificate is not None
+    assert peak < 64 * 2**20
 
 
 def test_submajorize_at_n_2000_runs_no_dense_classification_or_dominance_scan(monkeypatch):
