@@ -820,6 +820,7 @@ def test_dense_arrays_are_built_once_on_first_read(monkeypatch, completion_first
     f = NonNegVector(0.9 * g.values[::-1])
     verdict = check_submajorize(f, g)
     w, d1 = verdict.witness, verdict.certificate.completion
+    assert all(repr(m).endswith("data not built)") for m in (w, d1))
     assert calls == []
     first, second = (d1, w) if completion_first else (w, d1)
     arrays = [first.data, second.data]
@@ -836,7 +837,9 @@ def test_dense_arrays_are_built_once_on_first_read(monkeypatch, completion_first
 @given(_witness_pairs(), st.integers(0, 2**32 - 1))
 def test_chain_apply_matches_the_dense_product(pair, seed):
     # apply() runs the chain in O(n + steps); the dense product rounds every
-    # entry along the same steps and then sums n terms.
+    # entry along the same steps and then sums n terms.  Pushing a unit
+    # vector through the chain does each column's arithmetic of the dense
+    # build, so it gives that column bitwise.
     f, g = pair
     witnesses = []
     verdict = check_submajorize(f, g)
@@ -849,6 +852,8 @@ def test_chain_apply_matches_the_dense_product(pair, seed):
         x = np.random.default_rng(seed).uniform(0, 1, m.n) * 2.0 ** (seed % 121 - 60)
         bound = (m.n + 2 * len(m._form.steps)) * np.finfo(float).eps * x.max()
         assert np.max(np.abs(apply(m, NonNegVector(x)).values - m.data @ x)) <= bound
+        for j, unit in enumerate(np.eye(m.n)):
+            assert apply(m, NonNegVector(unit)).values.tobytes() == m.data[:, j].tobytes()
 
 
 def _perfbench_weak_pair(n):
@@ -872,8 +877,10 @@ def test_submajorize_at_n_1e5_builds_no_dense_array(monkeypatch):
     assert calls == []
 
 
-def test_submajorize_peak_is_linear_in_n():
-    # The dense path would hold two 3.2 GB arrays at n = 2 * 10^4.
+def test_submajorize_peak_is_linear_in_n(monkeypatch):
+    # The dense path would hold two 3.2 GB arrays at n = 2 * 10^4; the spy
+    # fails it before the first.
+    _counting_chain_product(monkeypatch, refuse=True)
     f, g = (NonNegVector(v) for v in _perfbench_weak_pair(2 * 10**4))
     tracemalloc.start()
     try:
