@@ -10,7 +10,7 @@ augmentation trace.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,9 +51,9 @@ class StochMatrix:
     A matrix classified from an array holds that array as ``data``.  The
     witnesses that :mod:`submaj.relations` builds are held as their
     T-transform chain instead: their sums and class come from the chain, and
-    :func:`apply` runs the chain, so neither needs the entries.  Their
-    ``data`` is built on its first read and then kept, frozen; at large n
-    that read allocates n^2 floats (80 GB at n = 10^5).
+    :func:`apply` and :meth:`entry` run the chain, so none of them needs the
+    array.  Their ``data`` is built on its first read and then kept, frozen;
+    at large n that read allocates n^2 floats (80 GB at n = 10^5).
     """
 
     data: np.ndarray
@@ -68,6 +68,15 @@ class StochMatrix:
     def entry(self, i: int, j: int) -> float:
         """Entry at 1-based position (i, j)."""
         return float(self.data[i - 1, j - 1])
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        """The action on a vector, for :func:`apply`."""
+        return self.data @ x
+
+    def _below(self, other: "StochMatrix") -> bool:
+        """Whether this matrix is known, from how it was built, to be at most
+        ``other`` entrywise; False when that is not known."""
+        return False
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,74 +130,27 @@ def _classify(arr: np.ndarray, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
         if np.any(arr < 0):
             raise ValueError("matrix entries must be nonnegative")
         sums = arr.sum(axis=1), arr.sum(axis=0)
-    return _from_sums(arr, *sums, tol)
+    for a in (arr, *sums):
+        a.flags.writeable = False
+    return StochMatrix(data=arr, row_sums=sums[0], col_sums=sums[1], matrix_class=_class_of(*sums, tol))
 
 
-class _Structured(StochMatrix):
-    """A :class:`StochMatrix` held in a structured form instead of as entries.
-
-    ``form.dense()`` returns a fresh n x n array of the entries and
-    ``form.matvec(x)`` the action on a vector without that array.  ``data`` is
-    ``form.dense()``, built on the first read and kept, frozen, so every read
-    returns the same array object.
-    """
-
-    def __init__(self, form, row_sums: np.ndarray, col_sums: np.ndarray, matrix_class: MatrixClass) -> None:
-        for name, value in (
-            ("_form", form), ("_data", None), ("row_sums", row_sums), ("col_sums", col_sums),
-            ("matrix_class", matrix_class),
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def data(self) -> np.ndarray:
-        if self._data is None:
-            arr = self._form.dense()
-            arr.flags.writeable = False
-            object.__setattr__(self, "_data", arr)
-        return self._data
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:  # the dataclass repr would build the n x n array
-        built = "built" if self._data is not None else "not built"
-        return f"StochMatrix(n={self.n}, matrix_class={self.matrix_class}, data {built})"
-
-
-def _from_sums(data, row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> StochMatrix:
-    """Freeze a finite nonnegative matrix nobody else holds, with its row and
-    column sums, and tag it with the strongest class those sums allow.
-
-    The one class rule: :func:`_classify` passes an array and the sums it
-    reduced from the entries, the witness builders a T-transform chain form
-    (see :class:`_Structured`) and the sums they pushed through the chain.
-    """
+def _class_of(row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> MatrixClass:
+    """The one class rule: the strongest class that the row and column sums of
+    a finite nonnegative matrix allow.  :func:`_classify` passes the sums it
+    reduced from the entries, the witnesses of :mod:`submaj.relations` the
+    sums they pushed through their T-transform chain."""
+    if np.all(np.abs(row_sums - 1) <= tol) and np.all(np.abs(col_sums - 1) <= tol):
+        return MatrixClass.DOUBLY_STOCHASTIC
     rows_ok = bool(np.all(row_sums <= 1 + tol))
     cols_ok = bool(np.all(col_sums <= 1 + tol))
-    doubly_stoch = bool(
-        np.all(np.abs(row_sums - 1) <= tol) and np.all(np.abs(col_sums - 1) <= tol)
-    )
-    if doubly_stoch:
-        klass = MatrixClass.DOUBLY_STOCHASTIC
-    elif rows_ok and cols_ok:
-        klass = MatrixClass.DOUBLY_SUBSTOCHASTIC
-    elif rows_ok:
-        klass = MatrixClass.ROW_SUBSTOCHASTIC
-    elif cols_ok:
-        klass = MatrixClass.COL_SUBSTOCHASTIC
-    else:
-        klass = MatrixClass.GENERAL
-
-    for a in (row_sums, col_sums):
-        a.flags.writeable = False
-    if not isinstance(data, np.ndarray):
-        return _Structured(data, row_sums, col_sums, klass)
-    data.flags.writeable = False
-    return StochMatrix(data=data, row_sums=row_sums, col_sums=col_sums, matrix_class=klass)
+    if rows_ok and cols_ok:
+        return MatrixClass.DOUBLY_SUBSTOCHASTIC
+    if rows_ok:
+        return MatrixClass.ROW_SUBSTOCHASTIC
+    if cols_ok:
+        return MatrixClass.COL_SUBSTOCHASTIC
+    return MatrixClass.GENERAL
 
 
 def apply(m: StochMatrix, f: NonNegVector) -> NonNegVector:
@@ -200,9 +162,7 @@ def apply(m: StochMatrix, f: NonNegVector) -> NonNegVector:
     """
     if m.n != f.dim:
         raise ValueError(f"dimension mismatch: matrix is {m.n}x{m.n}, vector has dim {f.dim}")
-    if isinstance(m, _Structured):
-        return NonNegVector(m._form.matvec(f.values))
-    return NonNegVector(m.data @ f.values)
+    return NonNegVector(m._matvec(f.values))
 
 
 class AugmentationStep(NamedTuple):
@@ -219,7 +179,10 @@ class IncreasabilityCertificate:
 
     The existence of such a completion is exactly what makes ``base``
     increasable; in finite dimensions every doubly substochastic matrix has
-    one.
+    one.  Dominance is checked by an O(n^2) entrywise scan, skipped only
+    when the base was built from the completion itself: the weak witness
+    W = diag(s) D1 of :mod:`submaj.relations`, with 0 <= s <= 1 checked,
+    under its own factor D1.
     """
 
     base: StochMatrix
@@ -227,26 +190,12 @@ class IncreasabilityCertificate:
     steps: tuple[AugmentationStep, ...] = ()
 
     def __post_init__(self) -> None:
-        self._check_shape_and_class()
-        if not _dominates(self.completion.data, self.base.data):
-            raise ValueError("certificate completion must dominate the base entrywise")
-
-    def _check_shape_and_class(self) -> None:
         if self.base.n != self.completion.n:
             raise ValueError("certificate base and completion must share a dimension")
         if self.completion.matrix_class is not MatrixClass.DOUBLY_STOCHASTIC:
             raise ValueError("certificate completion must be doubly stochastic")
-
-    @classmethod
-    def _by_construction(cls, base: StochMatrix, completion: StochMatrix) -> "IncreasabilityCertificate":
-        """The certificate of a base built as fl(s * completion) row by row with
-        0 <= s <= 1: each entry is at most the completion's (s x <= x, and
-        rounding is monotone), so only the O(n^2) dominance scan is skipped."""
-        cert = object.__new__(cls)
-        for name, value in (("base", base), ("completion", completion), ("steps", ())):
-            object.__setattr__(cert, name, value)
-        cert._check_shape_and_class()
-        return cert
+        if not self.base._below(self.completion) and not _dominates(self.completion.data, self.base.data):
+            raise ValueError("certificate completion must dominate the base entrywise")
 
     def to_json_dict(self) -> dict:
         return {

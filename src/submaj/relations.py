@@ -26,35 +26,37 @@ the last position with y - x > eps, and the sorted positions with y < x),
 O(n log n + steps) in all rather than O(n) per step.
 
 Every witness (W, D1, the majorization witness, ``hlp_witness().product``)
-is held as its chain: the steps, the two sort orders and, for W, the row
-scales s.  Its class follows from the chain in O(n + steps): with every t in
-[0, 1] and 0 <= s <= 1 (both checked) the entries are nonnegative, D1's row
-sums are ones pushed through the steps and its column sums ones pulled back
-through them (each T is symmetric), and W's are s times D1's row sums and s
-pulled back.  :func:`~submaj.matrices.apply` pushes a vector through the
-steps the same way.  A verdict with its witness therefore costs
-O(n log n + steps) time and O(n + steps) memory.
+is a :class:`_ChainMatrix`, held as its chain: the steps, the two sort
+orders and, for W, the row scales s and D1 itself.  Its class follows from
+the chain in O(n + steps): with every t in [0, 1] and 0 <= s <= 1 (both
+checked) the entries are nonnegative, D1's row sums are ones pushed through
+the steps and its column sums ones pulled back through them (each T is
+symmetric), and W's are s times D1's row sums and s pulled back.
+:func:`~submaj.matrices.apply` pushes a vector through the steps the same
+way, and ``entry(i, j)`` pushes the unit vector e_j.  A verdict with its
+witness therefore costs O(n log n + steps) time and O(n + steps) memory.
 
 The n x n arrays are built only when ``data`` is first read, and then kept.
 D1's is written once, in original coordinates, by mixing rows of a
 permutation matrix in place (O(n) per step); W's is fl(s_i * D1[i, j]) from
 it, so reading both builds D1's once, in either order.  At large n a read
 allocates n^2 floats (80 GB at n = 10^5).  Since fl(s_i * D1[i, j]) never
-exceeds D1[i, j], the certificate dominates by construction and skips the
-entrywise scan that every other certificate runs.
+exceeds D1[i, j], a certificate whose base is W and whose completion is
+W's own factor D1 (the very object, not an equal one) skips the entrywise
+scan; every other certificate runs it.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .config import DEFAULT_CLASS_TOL
-from .matrices import IncreasabilityCertificate, StochMatrix, _from_sums
+from .matrices import IncreasabilityCertificate, StochMatrix, _class_of
 from .vectors import NonNegVector, common_dim
 
 
@@ -169,56 +171,87 @@ def _mixed(steps, x: list) -> list:
     return x
 
 
-class _ChainForm:
-    """diag(s) P_f^T (T_m ... T_1) P_g held as its parts: the steps, the 0-based
-    sort orders ``rows`` of f and ``cols`` of g, and the row scales s (None for
-    ones).  The form of a chain-backed :class:`StochMatrix`.
+class _ChainMatrix(StochMatrix):
+    """diag(s) P_f^T (T_m ... T_1) P_g held as its parts: the steps, the
+    0-based sort orders ``rows`` of f and ``cols`` of g and, for a scaled
+    matrix, the row scales s and its ``factor``, the unscaled matrix of the
+    same chain.  Classified in O(n + steps), without its entries.
 
-    A scaled form takes its dense array from ``factor``, the unscaled matrix
-    of the same chain, as fl(s_i * factor[i, j]), so the chain product is
-    built once for both.
+    Every t is checked to lie in [0, 1], so each entry of the unscaled
+    product is a convex combination of nonnegative ones; its row sums are
+    ones pushed through the steps, its column sums ones pulled back through
+    them (each T is symmetric).  s is checked to lie in [0, 1]; the scaled
+    matrix's row sums are s times the factor's, its column sums s pulled
+    back.  ``data`` is built on its first read and then kept, frozen: by
+    :func:`_chain_product`, or as fl(s_i * factor[i, j]) from the factor's,
+    so the chain product is built once for both.
     """
 
-    def __init__(self, steps, rows, cols, scales=None, factor=None) -> None:
-        self.steps, self.rows, self.cols = steps, rows, cols
-        self.scales, self.factor = scales, factor
+    def __init__(self, steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np.ndarray, tol: float,
+                 scales: Optional[np.ndarray] = None) -> None:
+        if scales is None:
+            if not all(0.0 <= t <= 1.0 for _, _, t in steps):
+                raise RuntimeError("T-transform coefficient outside [0, 1]")
+        elif not (scales.min() >= 0.0 and scales.max() <= 1.0):
+            raise RuntimeError("weak witness row scales outside [0, 1]")
+        factor = None if scales is None else _ChainMatrix(steps, rows, cols, tol)
+        # The instance is frozen, so its fields go into its dict past __setattr__.
+        vars(self).update(_steps=steps, _rows=rows, _cols=cols, _scales=scales, _factor=factor, _data=None)
+        ones = np.ones(len(rows))
+        row_sums = self._matvec(ones) if factor is None else scales * factor.row_sums
+        col_sums = self._rmatvec(ones)
+        row_sums.flags.writeable = col_sums.flags.writeable = False
+        vars(self).update(row_sums=row_sums, col_sums=col_sums, matrix_class=_class_of(row_sums, col_sums, tol))
 
-    def dense(self) -> np.ndarray:
-        if self.scales is None:
-            return _chain_product(self.steps, self.rows, self.cols)
-        return self.factor.data * self.scales[:, None]
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            if self._factor is None:
+                arr = _chain_product(self._steps, self._rows, self._cols)
+            else:
+                arr = self._factor.data * self._scales[:, None]
+            arr.flags.writeable = False
+            vars(self)["_data"] = arr
+        return self._data
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def entry(self, i: int, j: int) -> float:
+        """Entry at 1-based position (i, j): from ``data`` once built, else
+        the unit vector e_j pushed through the chain, which does column j's
+        arithmetic of the dense build and so gives it bitwise."""
+        if self._data is not None:
+            return float(self._data[i - 1, j - 1])
+        unit = np.zeros(self.n)
+        unit[j - 1] = 1.0
+        return float(self._matvec(unit)[i - 1])
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
         """x gathered by ``cols``, pushed through the steps, scattered by ``rows``."""
         y = np.empty(x.size)
-        y[self.rows] = _mixed(self.steps, x[self.cols].tolist())
-        return y if self.scales is None else self.scales * y
+        y[self._rows] = _mixed(self._steps, x[self._cols].tolist())
+        return y if self._scales is None else self._scales * y
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+    def _rmatvec(self, x: np.ndarray) -> np.ndarray:
         """The transpose's action: the same path backwards, the steps reversed."""
-        if self.scales is not None:
-            x = self.scales * x
+        if self._scales is not None:
+            x = self._scales * x
         y = np.empty(x.size)
-        y[self.cols] = _mixed(self.steps[::-1], x[self.rows].tolist())
+        y[self._cols] = _mixed(self._steps[::-1], x[self._rows].tolist())
         return y
 
+    def _below(self, other: StochMatrix) -> bool:
+        """True for the factor: fl(s_i * x) <= x for s_i in [0, 1] (checked),
+        since rounding is monotone."""
+        return other is self._factor
 
-def _chain_matrix(
-    steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np.ndarray, tol: float
-) -> StochMatrix:
-    """The chain's product as a chain-backed matrix, classified in O(n + steps).
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    With every t in [0, 1] (checked) each entry is a convex combination of
-    nonnegative ones, so the product is nonnegative and finite.  Its row sums
-    are ones pushed through the steps, its column sums ones pulled back
-    through them.  :func:`_chain_product` writes its entries on the first read
-    of ``data``.
-    """
-    if not all(0.0 <= t <= 1.0 for _, _, t in steps):
-        raise RuntimeError("T-transform coefficient outside [0, 1]")
-    form = _ChainForm(steps, rows, cols)
-    ones = np.ones(len(rows))
-    return _from_sums(form, form.matvec(ones), form.rmatvec(ones), tol)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:  # the dataclass repr would build the n x n array
+        built = "built" if self._data is not None else "not built"
+        return f"StochMatrix(n={self.n}, matrix_class={self.matrix_class}, data {built})"
 
 
 class _Sorted:
@@ -284,7 +317,7 @@ def check_majorize(
     sf, sg, failed = _decide(f, g, tol, equal_totals=True)
     if failed is not None:
         return failed
-    witness = _chain_matrix(_hlp_chain(sf, sg, tol), sf.order, sg.order, tol) if with_witness else None
+    witness = _ChainMatrix(_hlp_chain(sf, sg, tol), sf.order, sg.order, tol) if with_witness else None
     return RelationVerdict(holds=True, witness=witness, message="majorization holds")
 
 
@@ -314,13 +347,14 @@ def check_submajorize(
     witness is W = diag(s) D1 with D1 doubly stochastic, and the certificate
     is that factor: ``IncreasabilityCertificate(base=W, completion=D1)``.
     D1 dominates W entrywise by construction, which is exactly
-    increasability, so the entrywise scan is not run; the certificate's
+    increasability, so the entrywise scan is not run, here or when the
+    certificate is rebuilt from this W and this D1; the certificate's
     ``steps`` is empty, since no greedy completion runs.
 
     W and D1 are held as their T-transform chain, with sums and classes from
-    it, in O(n + steps) memory.  Their n x n arrays are built on the first
-    read of ``data`` (D1's once for both) and then kept; at large n that
-    read allocates n^2 floats.
+    it, in O(n + steps) memory; ``apply`` and ``entry`` run the chain.  Their
+    n x n arrays are built on the first read of ``data`` (D1's once for
+    both) and then kept; at large n that read allocates n^2 floats.
     """
     sf, sg, failed = _decide(f, g, tol, equal_totals=False)
     if failed is not None:
@@ -329,7 +363,7 @@ def check_submajorize(
     if not with_witness:
         return RelationVerdict(holds=True, message=message)
     witness, d1 = _weak_factors(sf, sg, tol)
-    cert = IncreasabilityCertificate._by_construction(witness, d1)  # W = fl(s * D1) <= D1
+    cert = IncreasabilityCertificate(base=witness, completion=d1)
     return RelationVerdict(holds=True, witness=witness, certificate=cert, message=message)
 
 
@@ -353,7 +387,7 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
         steps=steps,
         pre_perm=tuple((sg.order + 1).tolist()),
         post_perm=tuple((sf.order + 1).tolist()),
-        product=_chain_matrix(steps, sf.order, sg.order, tol),
+        product=_ChainMatrix(steps, sf.order, sg.order, tol),
     )
 
 
@@ -444,11 +478,11 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     """The witness W = diag(s) D1 of :func:`weak_witness` and its factor D1
     (the identity for the all-zero f, with s = 0).
 
-    Both are held as the chain and classified from it: W's row sums are s
-    times D1's, its column sums s pulled back through the steps.  s is checked
-    to lie in [0, 1], so W is nonnegative and every entry fl(s_i * D1[i, j])
-    is at most D1[i, j].  No n x n array is made here; reading either ``data``
-    builds D1's once and W's from it.
+    W is a :class:`_ChainMatrix` that holds D1 as its factor; both are
+    classified from the chain.  s is checked to lie in [0, 1], so W is
+    nonnegative and every entry fl(s_i * D1[i, j]) is at most D1[i, j].  No
+    n x n array is made here; reading either ``data`` builds D1's once and
+    W's from it.
     """
     f = sf.raw
     if np.any(f > 0):
@@ -459,11 +493,8 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     else:
         steps, rows = (), sg.order
         scales = np.zeros(f.size)
-    if not (scales.min() >= 0.0 and scales.max() <= 1.0):
-        raise RuntimeError("weak witness row scales outside [0, 1]")
-    d1 = _chain_matrix(steps, rows, sg.order, tol)
-    form = _ChainForm(steps, rows, sg.order, scales, d1)
-    return _from_sums(form, scales * d1.row_sums, form.rmatvec(np.ones(f.size)), tol), d1
+    witness = _ChainMatrix(steps, rows, sg.order, tol, scales)
+    return witness, witness._factor
 
 
 def strict_permutation(f: NonNegVector, g: NonNegVector, value_tol: float = 0.0) -> Optional[tuple[int, ...]]:

@@ -252,12 +252,13 @@ class TestCompletion:
         assert len(calls) == 6
 
     def test_certificate_by_construction_still_checks_shape_and_class(self):
+        # The one constructor checks shape and class before any dominance.
         base = classify_matrix([[0.9, 0.0], [0.0, 0.9]])
         with pytest.raises(ValueError, match="doubly stochastic"):
-            IncreasabilityCertificate._by_construction(base, base)
+            IncreasabilityCertificate(base=base, completion=base)
         with pytest.raises(ValueError, match="share a dimension"):
-            IncreasabilityCertificate._by_construction(base, identity_matrix(3))
-        cert = IncreasabilityCertificate._by_construction(base, identity_matrix(2))
+            IncreasabilityCertificate(base=base, completion=identity_matrix(3))
+        cert = IncreasabilityCertificate(base=base, completion=identity_matrix(2))
         assert (cert.base, cert.steps) == (base, ())
 
 

@@ -850,10 +850,31 @@ def test_chain_apply_matches_the_dense_product(pair, seed):
         witnesses.append(major.witness)
     for m in witnesses:
         x = np.random.default_rng(seed).uniform(0, 1, m.n) * 2.0 ** (seed % 121 - 60)
-        bound = (m.n + 2 * len(m._form.steps)) * np.finfo(float).eps * x.max()
+        bound = (m.n + 2 * len(m._steps)) * np.finfo(float).eps * x.max()
         assert np.max(np.abs(apply(m, NonNegVector(x)).values - m.data @ x)) <= bound
         for j, unit in enumerate(np.eye(m.n)):
             assert apply(m, NonNegVector(unit)).values.tobytes() == m.data[:, j].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_witness_pairs())
+def test_chain_entries_match_the_dense_array_bitwise(pair):
+    # entry() pushes e_j through the chain until data is built, then reads
+    # data; every entry of every witness agrees bitwise either way.
+    f, g = pair
+    witnesses = []
+    verdict = check_submajorize(f, g)
+    if verdict.holds:
+        witnesses += [verdict.witness, verdict.certificate.completion]
+    major = check_majorize(f, g)
+    if major.holds:
+        witnesses += [major.witness, hlp_witness(f, g).product]
+    indices = range(1, max(f.dim, g.dim) + 1)
+    from_chain = [np.array([[m.entry(i, j) for j in indices] for i in indices]) for m in witnesses]
+    assert all(repr(m).endswith("data not built)") for m in witnesses)
+    for m, entries in zip(witnesses, from_chain):
+        assert entries.tobytes() == m.data.tobytes()
+        assert all(m.entry(i, j) == m.data[i - 1, j - 1] for i in indices for j in indices)
 
 
 def _perfbench_weak_pair(n):
@@ -877,6 +898,21 @@ def test_submajorize_at_n_1e5_builds_no_dense_array(monkeypatch):
     assert calls == []
 
 
+def test_entry_and_rebuilt_certificate_at_n_1e5_build_no_dense_array(monkeypatch):
+    # One entry runs the chain once; a certificate rebuilt from the verdict's
+    # own W and D1 skips the scan, so neither reads .data.
+    calls = _counting_chain_product(monkeypatch, refuse=True)
+    n = 10**5
+    verdict = check_submajorize(*(NonNegVector(v) for v in _perfbench_weak_pair(n)))
+    w, d1 = verdict.witness, verdict.certificate.completion
+    cert = IncreasabilityCertificate(base=w, completion=d1)
+    assert (cert.base, cert.completion, cert.steps) == (w, d1, ())
+    assert 0.0 <= w.entry(1, 1) <= 1.0
+    assert 0.0 <= d1.entry(n, n) <= 1.0
+    assert w.entry(1, 1) <= d1.entry(1, 1)
+    assert calls == []
+
+
 def test_submajorize_peak_is_linear_in_n(monkeypatch):
     # The dense path would hold two 3.2 GB arrays at n = 2 * 10^4; the spy
     # fails it before the first.
@@ -894,7 +930,8 @@ def test_submajorize_peak_is_linear_in_n(monkeypatch):
 
 def test_submajorize_at_n_2000_runs_no_dense_classification_or_dominance_scan(monkeypatch):
     # The classes come from the chain and the certificate dominates by
-    # construction; a certificate built directly still scans.
+    # construction, also when rebuilt from the same W and D1; a certificate
+    # with a dense copy of W still scans.
     calls = []
 
     def spy(name, real):
@@ -918,8 +955,36 @@ def test_submajorize_at_n_2000_runs_no_dense_classification_or_dominance_scan(mo
     assert verdict.witness.matrix_class is MatrixClass.DOUBLY_SUBSTOCHASTIC
     assert verdict.certificate.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
     assert calls == []
-    IncreasabilityCertificate(base=verdict.witness, completion=verdict.certificate.completion)
+    w, d1 = verdict.witness, verdict.certificate.completion
+    IncreasabilityCertificate(base=w, completion=d1)
+    assert calls == []
+    dense = submaj.matrices.StochMatrix(w.data, w.row_sums, w.col_sums, w.matrix_class)
+    IncreasabilityCertificate(base=dense, completion=d1)
     assert calls == ["_dominates"]
+
+
+def test_only_the_witness_own_factor_skips_the_dominance_scan(monkeypatch):
+    # The skip is an identity test on W's factor, not equality: an equal D1
+    # from a second verdict, D1 under itself and W under another completion
+    # all scan, and a completion that does not dominate W is rejected.
+    calls = []
+    real = submaj.matrices._dominates
+    monkeypatch.setattr(submaj.matrices, "_dominates", lambda *a: calls.append(1) or real(*a))
+    g = NonNegVector(np.random.default_rng(76).uniform(0, 1, 40))
+    f = NonNegVector(0.9 * g.values[::-1])
+    verdict, again = check_submajorize(f, g), check_submajorize(f, g)
+    w, d1 = verdict.witness, verdict.certificate.completion
+    assert calls == []
+    IncreasabilityCertificate(base=w, completion=d1)
+    assert calls == []
+    IncreasabilityCertificate(base=w, completion=again.certificate.completion)
+    assert len(calls) == 1
+    IncreasabilityCertificate(base=d1, completion=d1)
+    assert len(calls) == 2
+    assert not w._below(again.certificate.completion) and not d1._below(d1)
+    with pytest.raises(ValueError, match="dominate"):
+        IncreasabilityCertificate(base=w, completion=identity_matrix(40))
+    assert len(calls) == 3
 
 
 def test_witness_factors_are_checked_not_assumed(monkeypatch):
@@ -929,7 +994,7 @@ def test_witness_factors_are_checked_not_assumed(monkeypatch):
     for t in (-0.25, 1.25, float("nan")):
         bad = steps[:-1] + (steps[-1]._replace(t=t),)
         with pytest.raises(RuntimeError, match=r"coefficient outside \[0, 1\]"):
-            submaj.relations._chain_matrix(bad, sf.order, sg.order, DEFAULT_CLASS_TOL)
+            submaj.relations._ChainMatrix(bad, sf.order, sg.order, DEFAULT_CLASS_TOL)
     # An h one ulp below f = g would give row scales above 1, so W would not
     # sit under D1; the chain for h against g itself runs.
     monkeypatch.setattr(submaj.relations, "_raised", lambda sf, sg: np.nextafter(sf.raw, 0))
