@@ -187,8 +187,14 @@ class _ChainMatrix(StochMatrix):
     so the chain product is built once for both.
     """
 
-    def __init__(self, steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np.ndarray, tol: float,
-                 scales: Optional[np.ndarray] = None) -> None:
+    def __init__(
+        self,
+        steps: tuple[TTransformStep, ...],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        tol: float,
+        scales: Optional[np.ndarray] = None,
+    ) -> None:
         if scales is None:
             if not all(0.0 <= t <= 1.0 for _, _, t in steps):
                 raise RuntimeError("T-transform coefficient outside [0, 1]")
