@@ -61,24 +61,25 @@ def shift_forcing(g: NonNegVector) -> ForcingResult:
     if np.any(np.diff(vals) >= 0):
         raise ValueError("shift forcing requires a strictly decreasing sequence")
     n = g.dim
+    k = np.arange(1, n)
     return ForcingResult(
-        forced=TruncatedOperator(rows=n, cols=n, entries={(k + 1, k): 1.0 for k in range(1, n)}),
+        forced=TruncatedOperator._from_cells(n, n, k + 1, k, np.ones(n - 1)),
         fully_determined=True,
         conclusion=FORCED_EQUALS_RIGHT_SHIFT,
     )
 
 
 def theta_quadratic(i: int, j: int) -> int:
-    """Index map theta_i(j) = i + 1 + (0 + 1 + ... + (i+j-2))."""
-    if i < 1 or j < 1:
+    """Index map theta_i(j) = i + 1 + (0 + 1 + ... + (i+j-2)), elementwise on integer arrays."""
+    if np.any(np.less(i, 1)) or np.any(np.less(j, 1)):
         raise ValueError("indices must be positive")
     m = i + j - 2
     return i + 1 + m * (m + 1) // 2
 
 
 def theta_triangular(i: int, j: int) -> int:
-    """Index map theta_i(j) = i - 1 + (1 + 2 + ... + (i+j-1))."""
-    if i < 1 or j < 1:
+    """Index map theta_i(j) = i - 1 + (1 + 2 + ... + (i+j-1)), elementwise on integer arrays."""
+    if np.any(np.less(i, 1)) or np.any(np.less(j, 1)):
         raise ValueError("indices must be positive")
     m = i + j - 1
     return i - 1 + m * (m + 1) // 2
@@ -92,9 +93,8 @@ def constant_row_support_index(i: int) -> int:
 
 
 def _family(theta: Callable[[int, int], int], members: int, domain_dim: int) -> InjectionFamily:
-    return InjectionFamily(
-        tuple(Injection(tuple(theta(i, j) for j in range(1, domain_dim + 1))) for i in range(1, members + 1))
-    )
+    j = np.arange(1, domain_dim + 1)
+    return InjectionFamily(tuple(Injection(theta(i, j)) for i in range(1, members + 1)))
 
 
 def quadratic_family(members: int, domain_dim: int) -> InjectionFamily:
@@ -113,7 +113,7 @@ def triangular_constant_row(mu, dim: int) -> NonNegVector:
         if idx > dim:
             break
         out[idx - 1] = float(value)
-    return NonNegVector(out)
+    return NonNegVector._adopt(out)
 
 
 def display_spec(

@@ -27,18 +27,28 @@ from .vectors import NonNegVector
 
 @dataclass(frozen=True, eq=False)
 class Injection:
-    """One-to-one map on 1-based indices: mapping[j-1] is the image of j."""
+    """One-to-one map on 1-based indices: mapping[j-1] is the image of j.
+
+    ``mapping`` may be any sequence or integer array; it is kept as a tuple of
+    Python ints, and as the read-only int64 array ``_images``.
+    """
 
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.mapping:
+        images = np.asarray(self.mapping)
+        if images.size == 0:
             raise ValueError("injection must have a nonempty domain")
-        if any(int(i) != i or i < 1 for i in self.mapping):
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage that the comparison rejects
+            as_int = images.astype(np.int64) if images.dtype.kind in "biuf" else None
+        if as_int is None or images.ndim != 1 or not np.all(as_int == images) or as_int.min() < 1:
             raise ValueError("injection images must be positive integers")
-        if len(set(self.mapping)) != len(self.mapping):
+        ranked = np.sort(as_int)
+        if np.any(ranked[1:] == ranked[:-1]):
             raise ValueError("injection images must be pairwise distinct")
-        object.__setattr__(self, "mapping", tuple(int(i) for i in self.mapping))
+        as_int.flags.writeable = False
+        object.__setattr__(self, "mapping", tuple(as_int.tolist()))
+        object.__setattr__(self, "_images", as_int)
 
     @property
     def domain_dim(self) -> int:
@@ -72,11 +82,13 @@ class InjectionFamily:
     def domain_dim(self) -> Optional[int]:
         return self.members[0].domain_dim if self.members else None
 
+    @cached_property
+    def _targets(self) -> np.ndarray:
+        """Every member's images in turn: member k's image of j at (k-1)*dim + j-1."""
+        return np.concatenate([np.zeros(0, np.int64), *(m._images for m in self.members)])
+
     def union_image(self) -> frozenset[int]:
-        out: set[int] = set()
-        for m in self.members:
-            out.update(m.mapping)
-        return frozenset(out)
+        return frozenset(self._targets.tolist())
 
 
 def random_injection_family(
@@ -88,7 +100,7 @@ def random_injection_family(
         raise ValueError(f"cannot fit {need} disjoint image points into 1..{truncate}")
     targets = rng.choice(truncate, size=need, replace=False) + 1
     parts = targets.reshape(members, domain_dim)
-    return InjectionFamily(tuple(Injection(tuple(int(t) for t in row)) for row in parts))
+    return InjectionFamily(tuple(Injection(row) for row in parts))
 
 
 class FamilyCollision(NamedTuple):
@@ -107,15 +119,21 @@ class FamilyVerdict:
 
 
 def validate_family(family: InjectionFamily) -> FamilyVerdict:
-    """Accept iff images are pairwise disjoint; report the first collision."""
-    seen: dict[int, tuple[int, int]] = {}
-    for k, member in enumerate(family.members, start=1):
-        for j, target in enumerate(member.mapping, start=1):
-            if target in seen:
-                k0, j0 = seen[target]
-                return FamilyVerdict(False, FamilyCollision(k0, j0, k, j))
-            seen[target] = (k, j)
-    return FamilyVerdict(True)
+    """Accept iff images are pairwise disjoint; report the first collision.
+
+    Images are scanned member by member, index by index; the first collision
+    is the first image seen before, paired with where it was first seen.
+    """
+    targets = family._targets
+    ranked = np.sort(targets)
+    same = ranked[1:] == ranked[:-1]
+    if not same.any():
+        return FamilyVerdict(True)
+    order = np.argsort(targets, kind="stable")  # ranks equal images by position
+    t = int(order[1:][same].min())  # the first position whose image came earlier
+    t0 = int(order[np.searchsorted(ranked, targets[t])])
+    dim = family.domain_dim
+    return FamilyVerdict(False, FamilyCollision(t0 // dim + 1, t0 % dim + 1, t // dim + 1, t % dim + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +164,11 @@ class PreserverSpec:
         if self.constant_row is not None:
             if self.p != 1:
                 raise ValueError("a constant-row part is only allowed when p = 1")
-            overlap = set(self.constant_row.support()) & set(self.family.union_image())
-            if overlap:
+            support = np.flatnonzero(self.constant_row.values > 0) + 1
+            hits = support[np.isin(support, self.family._targets)]
+            if hits.size:
                 raise ValueError(
-                    f"constant-row support must avoid all injection images; hits {sorted(overlap)[:3]}"
+                    f"constant-row support must avoid all injection images; hits {hits[:3].tolist()}"
                 )
 
     def to_json_dict(self) -> dict:
@@ -176,44 +195,67 @@ class PreserverSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TruncatedOperator:
     """Sparse rows x cols window of an operator: (i, j) -> positive entry.
 
-    Construction also fixes the coordinate arrays of the entries (1-based
-    int64 row and column indices and float values, in the order of
-    ``entries``); every method and classifier below runs on those arrays.
+    Held as coordinate arrays, one cell each: 1-based int64 row and column
+    indices ``_i`` and ``_j`` and float values ``_v``; every method and
+    classifier below runs on them.  ``entries``, the same cells as a dict in
+    array order, is built on its first read and then kept.
     """
 
     rows: int
     cols: int
-    entries: dict[tuple[int, int], float]
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], float]) -> None:
+        keys = list(entries)
+        ij = np.array(keys, dtype=float).reshape(len(keys), 2)  # raises unless every key is a pair
+        v = np.fromiter(entries.values(), dtype=float, count=len(keys))
+        self._hold(rows, cols, ij[:, 0], ij[:, 1], v, keys)
+
+    @classmethod
+    def _from_cells(cls, rows: int, cols: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> "TruncatedOperator":
+        """The operator with cells (i[k], j[k]) -> v[k]: 1-based integer arrays and
+        a float array that the operator keeps, checked as the dict constructor does."""
+        out = object.__new__(cls)
+        out._hold(rows, cols, i, j, v)
+        return out
+
+    def _hold(
+        self, rows: int, cols: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, keys: Optional[list] = None
+    ) -> None:
+        """Check the cells and keep them.  The first offending cell in array order
+        is reported, named by ``keys`` when given.  Non-integral indices are
+        truncated; cells that then repeat collapse as dict keys do, keeping
+        the first position and the last value."""
+        if rows < 1 or cols < 1:
             raise ValueError("truncation must have at least one row and column")
-        keys = list(self.entries)
-        nnz = len(keys)
-        ij = np.array(keys, dtype=float).reshape(nnz, 2)  # raises unless every key is a pair
-        v = np.fromiter(self.entries.values(), dtype=float, count=nnz)
-        outside = ~np.all((ij >= 1) & (ij <= (self.rows, self.cols)), axis=1)
+        outside = ~((i >= 1) & (i <= rows) & (j >= 1) & (j <= cols))
         bad = outside | ~(np.isfinite(v) & (v > 0))
         if bad.any():
-            k = int(np.argmax(bad))  # the first offending entry in dict order
-            i, j = keys[k]
+            k = int(np.argmax(bad))
+            ik, jk = keys[k] if keys is not None else (int(i[k]), int(j[k]))
             if outside[k]:
-                raise ValueError(f"entry ({i}, {j}) outside the {self.rows}x{self.cols} window")
-            raise ValueError(f"entries must be finite and positive, got {float(v[k])} at ({i}, {j})")
-        i, j = ij.astype(np.int64).T
-        clean = dict(zip(zip(i.tolist(), j.tolist()), v.tolist()))
-        if len(clean) < nnz:  # non-integral keys truncated onto one cell: the last value wins
+                raise ValueError(f"entry ({ik}, {jk}) outside the {rows}x{cols} window")
+            raise ValueError(f"entries must be finite and positive, got {float(v[k])} at ({ik}, {jk})")
+        i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+        cell = np.sort((i - 1) * cols + j)  # wrapping at huge windows only adds false alarms
+        if np.any(cell[1:] == cell[:-1]):
+            clean = dict(zip(zip(i.tolist(), j.tolist()), v.tolist()))
             i, j = np.array(list(clean), dtype=np.int64).reshape(-1, 2).T
             v = np.fromiter(clean.values(), dtype=float, count=len(clean))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         for name, arr in (("_i", i), ("_j", j), ("_v", v)):
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "entries", clean)
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], float]:
+        """The cells as a dict, (i, j) -> value in array order; built on the first read."""
+        return dict(zip(zip(self._i.tolist(), self._j.tolist()), self._v.tolist()))
 
     @cached_property
     def _by_row(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,7 +278,7 @@ class TruncatedOperator:
         """Action on a vector of dimension ``cols``; output has dimension ``rows``."""
         if f.dim != self.cols:
             raise ValueError(f"dimension mismatch: operator has {self.cols} columns, vector dim {f.dim}")
-        return NonNegVector(
+        return NonNegVector._adopt(
             np.bincount(self._i - 1, weights=self._v * f.values[self._j - 1], minlength=self.rows)
         )
 
@@ -247,7 +289,8 @@ class TruncatedOperator:
         return _group(self._by_row, i)
 
     def to_json_dict(self) -> dict:
-        triplets = sorted((i, j, v) for (i, j), v in self.entries.items())
+        order = np.lexsort((self._j, self._i))  # cells are distinct, so (i, j) orders them
+        triplets = zip(self._i[order].tolist(), self._j[order].tolist(), self._v[order].tolist())
         return {"rows": self.rows, "cols": self.cols, "entries": [[i, j, v] for i, j, v in triplets]}
 
     @classmethod
@@ -301,17 +344,24 @@ def build_preserver(spec: PreserverSpec, rows: int, cols: int) -> TruncatedOpera
         raise ValueError(
             f"injection domain {spec.family.domain_dim} smaller than {cols} columns"
         )
-    entries: dict[tuple[int, int], float] = {}
+    j = np.arange(1, cols + 1)  # empty for cols < 1, which the operator then refuses
+    cells = []
     for weight, member in zip(spec.weights, spec.family.members):
         if weight > 0:
-            entries.update({(i, j): weight for j, i in enumerate(member.mapping[:cols], start=1) if i <= rows})
+            i = member._images[: j.size]
+            keep = i <= rows
+            cells.append((i[keep], j[keep], np.full(np.count_nonzero(keep), weight)))
     if spec.constant_row is not None:
         h = spec.constant_row.values
-        for i in spec.constant_row.support():
-            if i <= rows:
-                for j in range(1, cols + 1):
-                    entries[(i, j)] = float(h[i - 1])
-    return TruncatedOperator(rows=rows, cols=cols, entries=entries)
+        support = np.flatnonzero(h[:rows] > 0)
+        cells.append((np.repeat(support + 1, j.size), np.tile(j, support.size), np.repeat(h[support], j.size)))
+    return TruncatedOperator._from_cells(rows, cols, *_joined(cells))
+
+
+def _joined(cells: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and values of (i, j, v) parts, in part order."""
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    return tuple(np.concatenate([e, *(part[k] for part in cells)]) for k, e in enumerate(empty))
 
 
 @dataclass(frozen=True)
@@ -409,8 +459,8 @@ def construct_S(
     check = validate_family(family)
     if not check.valid:
         raise ValueError(f"injection images must be pairwise disjoint: {check.collision}")
-    images = family.union_image()
-    top = max(images)
+    targets = family._targets
+    top = int(targets.max())
     n = truncate if truncate is not None else top
     if top > n:
         raise ValueError(f"injection image {top} exceeds the truncation {n}")
@@ -418,15 +468,16 @@ def construct_S(
     decomp = decompose_increasable(cert.base, cert)
     block = decomp.d1.data - decomp.d2.data
     r, c = np.nonzero(block > 0)  # row-major: the order of the entries within each member
-    values = block[r, c].tolist()
-    thetas = [np.asarray(member.mapping) - 1 for member in family.members]
-    entries: dict[tuple[int, int], float] = {}
-    for theta in thetas:
-        entries.update(zip(zip((theta[r] + 1).tolist(), (theta[c] + 1).tolist()), values))
+    thetas = [member._images - 1 for member in family.members]
+    values = block[r, c]
+    cells = [(theta[r] + 1, theta[c] + 1, values) for theta in thetas]
     outside = 1.0 - a
     if outside > 0:
-        entries.update({(i, i): outside for i in range(1, n + 1) if i not in images})
-    s = TruncatedOperator(rows=n, cols=n, entries=entries)
+        free = np.ones(n, dtype=bool)
+        free[targets - 1] = False
+        diagonal = np.flatnonzero(free) + 1
+        cells.append((diagonal, diagonal, np.full(diagonal.size, outside)))
+    s = TruncatedOperator._from_cells(n, n, *_joined(cells))
 
     for theta in thetas:
         gap = _intertwining_gap(s, theta, cert.base.data)
@@ -475,12 +526,11 @@ class PreservationReport:
 
 def preservation_rows_needed(spec: PreserverSpec, cols: int) -> int:
     """Smallest window height containing every image of columns 1..cols."""
-    top = 1
-    for member in spec.family.members:
-        top = max(top, max(member.mapping[:cols]))
-    if spec.constant_row is not None and spec.constant_row.support():
-        top = max(top, max(spec.constant_row.support()))
-    return top
+    if cols < 1:
+        raise ValueError(f"a preservation window needs at least one column, got {cols} columns")
+    top = max((int(member._images[:cols].max()) for member in spec.family.members), default=1)
+    support = spec.constant_row.support() if spec.constant_row is not None else ()
+    return max(top, support[-1]) if support else top
 
 
 def empirical_preservation_check(

@@ -20,14 +20,25 @@ class NonNegVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float, copy=True)
+        self._hold(np.array(self.values, dtype=float, copy=True))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "NonNegVector":
+        """Wrap a fresh array that no one else holds: the same checks, no copy
+        unless it has to become float."""
+        out = object.__new__(cls)
+        out._hold(np.asarray(arr, dtype=float))
+        return out
+
+    def _hold(self, arr: np.ndarray) -> None:
+        """Check ``arr`` and keep it, read-only, as ``values``."""
         if arr.ndim != 1:
             raise ValueError("vector values must be one-dimensional")
         if arr.size < 1:
             raise ValueError("vector dimension must be at least 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("vector entries must be finite (no NaN/inf)")
-        if np.any(arr < 0):
+        if not (arr.min() >= 0 and arr.max() < np.inf):  # NaN fails both
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("vector entries must be finite (no NaN/inf)")
             raise ValueError("vector entries must be nonnegative")
         arr += 0.0  # -0.0 becomes +0.0: sorted values and JSON carry no signed zero
         arr.flags.writeable = False
@@ -56,7 +67,7 @@ class NonNegVector:
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the strictly positive entries."""
-        return tuple(int(i) + 1 for i in np.nonzero(self.values > 0)[0])
+        return tuple((np.flatnonzero(self.values > 0) + 1).tolist())
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "values": [float(v) for v in self.values]}

@@ -223,6 +223,13 @@ def test_preserve_test_identity_spec(files, capsys):
     assert "20/20" in capsys.readouterr().out
 
 
+def test_preserve_test_without_columns_is_usage_error(files, capsys):
+    write, _ = files
+    spec = write("spec.json", {"p": 2.0, "weights": [1.0], "injections": [[1, 2, 3]]})
+    assert main(["preserve-test", spec, "--dim", "0"]) == 2
+    assert "a preservation window needs at least one column, got 0 columns" in capsys.readouterr().err
+
+
 def test_demo_shift_exact_window(files, capsys):
     assert main(["--json", "demo", "shift", "--n", "6"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,11 +1,25 @@
 """Injection families, operator builds, classification, intertwining, fuzzing."""
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from submaj.demos import quadratic_family, triangular_constant_row, triangular_family
+from submaj.demos import (
+    quadratic_family,
+    shift_forcing,
+    theta_quadratic,
+    theta_triangular,
+    triangular_constant_row,
+    triangular_family,
+)
 from submaj.matrices import classify_matrix, decompose_increasable, vonneumann_complete
 from submaj.preservers import (
     _intertwining_gap,
+    FamilyCollision,
+    FamilyVerdict,
     Injection,
     InjectionFamily,
     PreserverSpec,
@@ -760,3 +774,141 @@ class TestPlacementMatchesEntryLoops:
             tracemalloc.stop()
         assert gap <= 1e-12
         assert peak < s.rows * m * 8, peak
+
+
+# ----------------------------------------------------------------------
+# Coordinate arrays as the one representation: ``entries`` is built on its
+# first read; injections, families and family validation run on arrays.
+# The per-element loops they replaced are kept here as reference copies.
+# ----------------------------------------------------------------------
+
+
+def _ref_validate_family(family):
+    seen = {}
+    for k, member in enumerate(family.members, start=1):
+        for j, target in enumerate(member.mapping, start=1):
+            if target in seen:
+                k0, j0 = seen[target]
+                return FamilyVerdict(False, FamilyCollision(k0, j0, k, j))
+            seen[target] = (k, j)
+    return FamilyVerdict(True)
+
+
+def _ref_to_json_dict(t):
+    triplets = sorted((i, j, v) for (i, j), v in t.entries.items())
+    return {"rows": t.rows, "cols": t.cols, "entries": [[i, j, v] for i, j, v in triplets]}
+
+
+@st.composite
+def _families(draw):
+    """Injective members over one domain, some with a collision planted between two of them."""
+    members, dim = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    images = st.lists(st.integers(1, 3 * members * dim), min_size=dim, max_size=dim, unique=True)
+    rows = [draw(images) for _ in range(members)]
+    if members > 1 and draw(st.booleans()):
+        k0, k = sorted(draw(st.lists(st.integers(0, members - 1), min_size=2, max_size=2, unique=True)))
+        j0, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if rows[k0][j0] not in rows[k]:
+            rows[k][j] = rows[k0][j0]
+    return InjectionFamily(tuple(Injection(tuple(r)) for r in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families())
+def test_validate_family_matches_dict_scan(family):
+    got = validate_family(family)
+    assert got == _ref_validate_family(family)
+    assert got.collision is None or all(type(x) is int for x in got.collision)
+
+
+class TestCoordinateArrays:
+    def test_entries_are_built_on_first_read_only(self):
+        rng = np.random.default_rng(81)
+        cols, m = 700, 6
+        spec = PreserverSpec(p=2.0, weights=(0.5, 0.3, 0.15, 0.05), family=quadratic_family(4, cols))
+        rows = preservation_rows_needed(spec, cols)
+        t = build_preserver(spec, rows, cols)
+        assert classify_preserver_l1(t).accepted and classify_preserver_lp(t).accepted
+        t.apply(NonNegVector(rng.uniform(0, 1, cols)))
+        json.dumps(t.to_json_dict())
+        s = construct_S(vonneumann_complete(random_doubly_substochastic(rng, m)), quadratic_family(4, m), 0.3)
+        forced = shift_forcing(NonNegVector(np.arange(cols, 0, -1.0))).forced
+        for op in (t, s, forced):
+            assert "entries" not in vars(op)
+        first = t.entries
+        assert list(first.items()) == list(_ref_build_preserver(spec, rows, cols).entries.items())
+        assert all(type(i) is int and type(j) is int and type(v) is float for (i, j), v in first.items())
+        assert t.entries is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.entries = {}
+        assert t.entries is first
+
+    def test_json_matches_sorted_entries(self):
+        for t in _differential_operators(seed=82, count=200):
+            assert json.dumps(t.to_json_dict()) == json.dumps(_ref_to_json_dict(t))
+        t = build_preserver(PreserverSpec(p=2.0, weights=(1.0, 0.5), family=quadratic_family(2, 9)), 60, 9)
+        t.to_json_dict()
+        assert "entries" not in vars(t)
+
+    @pytest.mark.parametrize("theta", [theta_quadratic, theta_triangular])
+    def test_families_match_scalar_index_maps(self, theta):
+        members, largest = 4, 1000
+        reference = [tuple(theta(i, j) for j in range(1, largest + 1)) for i in range(1, members + 1)]
+        assert all(type(x) is int for row in reference for x in row)
+        build = quadratic_family if theta is theta_quadratic else triangular_family
+        for dim in range(1, largest + 1):
+            family = build(members, dim)
+            assert [m.mapping for m in family.members] == [row[:dim] for row in reference]
+        assert all(type(x) is int for m in family.members for x in m.mapping)
+        with pytest.raises(ValueError, match="positive"):
+            theta(1, np.array([3, 0]))
+
+    @pytest.mark.parametrize("wrap", [tuple, list, lambda x: np.array(x, dtype=np.int64)])
+    def test_injection_inputs_agree(self, wrap):
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            images = (rng.permutation(40)[: int(rng.integers(1, 20))] + 1).tolist()
+            theta = Injection(wrap(images))
+            assert theta.mapping == tuple(images)
+            assert all(type(x) is int for x in theta.mapping)
+        cases = [([], "injection must have a nonempty domain"), ([0, 1], "injection images must be positive integers"),
+                 ([2, -1], "injection images must be positive integers"), ([1, 2, 2], "injection images must be pairwise distinct")]
+        for images, message in cases:
+            with pytest.raises(ValueError) as err:
+                Injection(wrap(images))
+            assert str(err.value) == message
+        for images in ((1, 2.5), [2.5], np.array([1.0, 2.5])):
+            with pytest.raises(ValueError) as err:
+                Injection(images)
+            assert str(err.value) == "injection images must be positive integers"
+
+    def test_repeated_cells_collapse_alike_on_both_paths(self):
+        # On the dict path (1.5, 2) truncates onto (1, 2); on the array path the cell is given twice.
+        via_dict = TruncatedOperator(rows=2, cols=2, entries={(1, 2): 3.0, (2, 1): 0.5, (1.5, 2): 1.25})
+        via_arrays = TruncatedOperator._from_cells(2, 2, np.array([1, 2, 1]), np.array([2, 1, 2]), np.array([3.0, 0.5, 1.25]))
+        _assert_same_operator(via_arrays, via_dict)
+        assert list(via_arrays.entries.items()) == [((1, 2), 1.25), ((2, 1), 0.5)]
+        rng = np.random.default_rng(84)
+        for _ in range(200):
+            rows, cols, nnz = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(0, 12))
+            i, j = rng.integers(1, rows + 1, nnz), rng.integers(1, cols + 1, nnz)
+            v = rng.uniform(0.1, 1.0, nnz)
+            want = TruncatedOperator(rows=rows, cols=cols, entries=dict(zip(zip(i.tolist(), j.tolist()), v.tolist())))
+            _assert_same_operator(TruncatedOperator._from_cells(rows, cols, i, j, v), want)
+
+    def test_array_path_raises_the_dict_messages(self):
+        cases = [(2, 2, [3], [1], [1.0]), (2, 2, [1, 1], [1, 2], [0.5, 0.0]), (2, 2, [1], [1], [np.nan]),
+                 (0, 2, [], [], []), (2, 2, [1, 2], [0, 1], [1.0, -1.0])]
+        for rows, cols, i, j, v in cases:
+            want = _ref_window(rows, cols, dict(zip(zip(i, j), v)))
+            assert isinstance(want, str)
+            got = _outcome(TruncatedOperator._from_cells, rows, cols, np.array(i, dtype=np.int64),
+                           np.array(j, dtype=np.int64), np.array(v, dtype=float))
+            assert isinstance(got, ValueError) and str(got) == want
+
+    def test_rows_needed_refuses_an_empty_window(self):
+        spec = PreserverSpec(p=2.0, weights=(1.0,), family=quadratic_family(1, 3))
+        for cols in (0, -2):
+            with pytest.raises(ValueError) as err:
+                preservation_rows_needed(spec, cols)
+            assert str(err.value) == f"a preservation window needs at least one column, got {cols} columns"

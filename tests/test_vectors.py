@@ -35,6 +35,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             v.values[0] = 5.0
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [([1.0, float("nan")], "finite"), ([float("inf"), -1.0], "finite"), ([-float("inf")], "finite"),
+         ([1.0, -0.5], "nonnegative"), ([], "at least 1"), ([[1.0]], "one-dimensional")],
+    )
+    def test_adopted_array_is_checked_like_a_copied_one(self, bad, message):
+        for build in (NonNegVector, lambda a: NonNegVector._adopt(np.array(a, dtype=float))):
+            with pytest.raises(ValueError, match=message):
+                build(bad)
+
+    def test_adopted_array_is_kept_without_a_copy(self):
+        arr = np.array([1.0, -0.0, 2.0])
+        v = NonNegVector._adopt(arr)
+        assert v.values is arr and not arr.flags.writeable
+        assert np.signbit(v.values).tolist() == [False, False, False]
+
+    def test_support_is_one_based_python_ints(self):
+        support = NonNegVector.of(0, 2, 0, 1, 0).support()
+        assert support == (2, 4) and all(type(i) is int for i in support)
+        assert NonNegVector.of(0, 0).support() == ()
+
     def test_padding(self):
         v = NonNegVector.of(1, 2).padded(4)
         assert v.values.tolist() == [1, 2, 0, 0]
