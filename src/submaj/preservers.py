@@ -258,10 +258,20 @@ class TruncatedOperator:
         return dict(zip(zip(self._i.tolist(), self._j.tolist()), self._v.tolist()))
 
     @cached_property
+    def _row_order(self) -> np.ndarray:
+        """Cell positions by row index, stably: dict order within a row."""
+        return np.argsort(self._i, kind="stable")
+
+    @cached_property
     def _by_row(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row indices ascending, then column indices and values; dict order within a row."""
-        order = np.argsort(self._i, kind="stable")
+        order = self._row_order
         return self._i[order], self._j[order], self._v[order]
+
+    @cached_property
+    def _multiset_by_tol(self) -> dict[float, Optional[str]]:
+        """:func:`_columns_share_multiset` results by tol, filled as the classifiers ask."""
+        return {}
 
     @cached_property
     def _by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -371,7 +381,15 @@ class PreserverVerdict:
 
 
 def _columns_share_multiset(t: TruncatedOperator, tol: float) -> Optional[str]:
-    """Check all columns carry the same multiset of entries above tol."""
+    """Check all columns carry the same multiset of entries above tol; the
+    result is kept on ``t`` per tol, so both classifiers compute it once."""
+    cache = t._multiset_by_tol
+    if tol not in cache:
+        cache[tol] = _multiset_mismatch(t, tol)
+    return cache[tol]
+
+
+def _multiset_mismatch(t: TruncatedOperator, tol: float) -> Optional[str]:
     keep = t._v > tol
     order = np.lexsort((t._v[keep], t._j[keep]))  # by column, then by value
     cols, values = t._j[keep][order], t._v[keep][order]
@@ -395,11 +413,11 @@ def classify_preserver_lp(t: TruncatedOperator, tol: float = DEFAULT_CLASS_TOL) 
     choose the truncation large enough that every column's support lies
     inside the window; a truncated tail is indistinguishable from zeros.
     """
-    rows = t._i[t._v > tol]
-    order = np.argsort(rows, kind="stable")
-    repeats = order[1:][np.diff(rows[order]) == 0]
+    order = t._row_order
+    order = order[t._v[order] > tol]  # still stable by row
+    repeats = order[1:][np.diff(t._i[order]) == 0]
     if repeats.size:  # the row whose second positive entry comes first in entry order
-        return PreserverVerdict(False, f"row {int(rows[repeats.min()])} has more than one positive entry")
+        return PreserverVerdict(False, f"row {int(t._i[repeats.min()])} has more than one positive entry")
     mismatch = _columns_share_multiset(t, tol)
     if mismatch is not None:
         return PreserverVerdict(False, mismatch)

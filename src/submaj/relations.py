@@ -28,13 +28,19 @@ O(n log n + steps) in all rather than O(n) per step.
 Every witness (W, D1, the majorization witness, ``hlp_witness().product``)
 is a :class:`_ChainMatrix`, held as its chain: the steps, the two sort
 orders and, for W, the row scales s and D1 itself.  Its class follows from
-the chain in O(n + steps): with every t in [0, 1] and 0 <= s <= 1 (both
-checked) the entries are nonnegative, D1's row sums are ones pushed through
-the steps and its column sums ones pulled back through them (each T is
-symmetric), and W's are s times D1's row sums and s pulled back.
-:func:`~submaj.matrices.apply` pushes a vector through the steps the same
-way, and ``entry(i, j)`` pushes the unit vector e_j.  A verdict with its
-witness therefore costs O(n log n + steps) time and O(n + steps) memory.
+the chain: with every t in [0, 1] and 0 <= s <= 1 (both checked) the
+entries are nonnegative.  D1's row sums are ones pushed through the steps
+and its column sums ones pulled back through them (each T is symmetric),
+and in floats both are exactly ones, because fl(fl(1 - t) * 1 + t * 1) = 1
+for every t in [0, 1]: for t >= 1/2, 1 - t is exact (Sterbenz's lemma); for
+t < 1/2, fl(1 - t) = 1 - t + e with |e| <= 2^-54, and 1 + e rounds to 1
+(the tie at e = -2^-54 goes to the even neighbour, 1).  So D1 takes ones
+without running the chain, and W takes s as its row sums and s pulled back
+as its column sums: a weak witness costs one pass through the chain, not
+three.  :func:`~submaj.matrices.apply` pushes a vector through the steps
+the same way, and ``entry(i, j)`` pushes the unit vector e_j.  A verdict
+with its witness therefore costs O(n log n + steps) time and O(n + steps)
+memory.
 
 The n x n arrays are built only when ``data`` is first read, and then kept.
 D1's is written once, in original coordinates, by mixing rows of a
@@ -178,11 +184,16 @@ class _ChainMatrix(StochMatrix):
     same chain.  Classified in O(n + steps), without its entries.
 
     Every t is checked to lie in [0, 1], so each entry of the unscaled
-    product is a convex combination of nonnegative ones; its row sums are
+    product is a convex combination of nonnegative ones.  Its row sums are
     ones pushed through the steps, its column sums ones pulled back through
-    them (each T is symmetric).  s is checked to lie in [0, 1]; the scaled
-    matrix's row sums are s times the factor's, its column sums s pulled
-    back.  ``data`` is built on its first read and then kept, frozen: by
+    them (each T is symmetric), and both are exactly ones: each step gives
+    fl(fl(1 - t) + t) = 1, since 1 - t is exact for t >= 1/2 (Sterbenz) and,
+    for t < 1/2, fl(1 - t) = 1 - t + e with |e| <= 2^-54, so 1 + e rounds to
+    1 (the tie to the even neighbour, 1).  They are taken as ones, with no
+    pass through the chain.  s is checked to lie in [0, 1]; the scaled
+    matrix's row sums are s times the factor's, which is s, and its column
+    sums are s pulled back, its one chain pass.  ``data`` is built on its
+    first read and then kept, frozen: by
     :func:`_chain_product`, or as fl(s_i * factor[i, j]) from the factor's,
     so the chain product is built once for both.
     """
@@ -204,8 +215,10 @@ class _ChainMatrix(StochMatrix):
         # The instance is frozen, so its fields go into its dict past __setattr__.
         vars(self).update(_steps=steps, _rows=rows, _cols=cols, _scales=scales, _factor=factor, _data=None)
         ones = np.ones(len(rows))
-        row_sums = self._matvec(ones) if factor is None else scales * factor.row_sums
-        col_sums = self._rmatvec(ones)
+        if factor is None:
+            row_sums = col_sums = ones  # ones pass through every checked step exactly
+        else:
+            row_sums, col_sums = scales * factor.row_sums, self._rmatvec(ones)
         row_sums.flags.writeable = col_sums.flags.writeable = False
         vars(self).update(row_sums=row_sums, col_sums=col_sums, matrix_class=_class_of(row_sums, col_sums, tol))
 
@@ -390,22 +403,25 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
     sf, sg = _require(f, g, tol, equal_totals=True)
     steps = _hlp_chain(sf, sg, tol)
     return TTransformChain(
-        steps=steps,
+        steps=tuple(map(TTransformStep._make, steps)),
         pre_perm=tuple((sg.order + 1).tolist()),
         post_perm=tuple((sf.order + 1).tolist()),
         product=_ChainMatrix(steps, sf.order, sg.order, tol),
     )
 
 
-def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[TTransformStep, ...]:
-    """The steps of :func:`hlp_witness`, on sorted coordinates.
+def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[int, int, float], ...]:
+    """The steps of :func:`hlp_witness`, on sorted coordinates, as plain
+    (i, j, t) tuples.
 
     d = y - x is computed once.  A step changes y only at j and k, and only
     d[j] and d[k] are recomputed, with the same expression, so d stays
-    bitwise what a full recomputation would give.
+    bitwise what a full recomputation would give.  ``neg`` ends in the
+    sentinel n, past every position, so the search for k always lands.
     """
     x = sf.values.tolist()
     y = sg.values.tolist()
+    n = len(x)
     scale = max(1.0, float(sg.values.max(initial=0.0)))
     eps = 1e-12 * scale
 
@@ -414,31 +430,35 @@ def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[TTransformStep, ..
     pos = np.nonzero(diff > eps)[0]
     j = int(pos[-1]) if pos.size else -1  # the last position with d > eps
     neg = np.nonzero(diff < 0)[0].tolist()
-    steps: list[TTransformStep] = []
+    neg.append(n)
+    steps = []
     while j >= 0:
         i = bisect_right(neg, j)
-        if i == len(neg):
+        k = neg[i]
+        if k == n:
             if max(map(abs, d)) > 10 * max(tol, eps):
                 raise RuntimeError("T-transform construction stalled; input not majorized")
             break
-        k = neg[i]
-        delta = min(d[j], -d[k])
-        t = delta / (y[j] - y[k])  # in (0, 1]: y[k] < x[k] <= x[j], so y[j] - y[k] >= d[j] >= delta > 0
-        if d[j] <= -d[k]:
-            y[k] += delta
-            y[j] = x[j]  # pin exactly
+        dj, short, yj, yk = d[j], -d[k], y[j], y[k]
+        # delta = min(d[j], -d[k]); t = delta / (y[j] - y[k]) lies in (0, 1]:
+        # y[k] < x[k] <= x[j], so y[j] - y[k] >= d[j] >= delta > 0.
+        if dj <= short:
+            t = dj / (yj - yk)
+            y[k] = yk = yk + dj
+            y[j] = yj = x[j]  # pin exactly
         else:
-            y[j] -= delta
-            y[k] = x[k]  # pin exactly
-        steps.append(TTransformStep(j + 1, k + 1, t))
-        d[j] = y[j] - x[j]
-        d[k] = y[k] - x[k]
+            t = short / (yj - yk)
+            y[j] = yj = yj - short
+            y[k] = yk = x[k]  # pin exactly
+        steps.append((j + 1, k + 1, t))
+        d[j] = dj = yj - x[j]
+        d[k] = dk = yk - x[k]
         # neg[:i] lies below j, so j, negative only by rounding, goes in at i.
-        if d[k] >= 0:
+        if dk >= 0:
             del neg[i]
-        if d[j] < 0:
+        if dj < 0:
             neg.insert(i, j)
-        if d[k] > eps:
+        if dk > eps:
             j = k  # every later position was at most eps and is unchanged
         else:
             while j >= 0 and not d[j] > eps:

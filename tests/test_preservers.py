@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import submaj.preservers
 from submaj.demos import (
     quadratic_family,
     shift_forcing,
@@ -514,6 +515,23 @@ class TestIndexedOperatorMatchesDictScans:
         if tol == 1e-9:  # every branch of both classifiers was reached
             for name in ("classify_preserver_lp", "classify_preserver_l1"):
                 assert {(name, "rows"), (name, "row"), (name, "column")} <= verdicts
+
+    def test_classifiers_share_one_multiset_check_per_tol(self, monkeypatch):
+        # Both classifiers at several tols on one operator, in both orders:
+        # the same verdicts, and the column multisets compared once per tol.
+        calls = []
+        real = submaj.preservers._multiset_mismatch
+        monkeypatch.setattr(submaj.preservers, "_multiset_mismatch", lambda t, tol: calls.append(tol) or real(t, tol))
+        tols = [1e-9, 0.0, 0.3, -1.0]
+        pairs = [(classify_preserver_l1, _ref_classify_l1), (classify_preserver_lp, _ref_classify_lp)]
+        for t in _differential_operators(seed=64, count=300):
+            calls.clear()
+            for tol in tols + tols[::-1]:
+                for new, ref in pairs:
+                    got = new(t, tol)
+                    assert (got.accepted, got.reason) == ref(t, tol), t.entries
+                pairs.reverse()
+            assert len(calls) == len(set(calls))
 
     def test_rows_columns_and_apply_match_reference(self):
         rng = np.random.default_rng(62)

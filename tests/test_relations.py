@@ -1,4 +1,5 @@
 """Relation checks, witness constructions, permutation extraction, oracle."""
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from submaj.matrices import (
 )
 from submaj.relations import (
     TTransformChain,
+    TTransformStep,
     chain_product_from_parts,
     check_majorize,
     check_submajorize,
@@ -630,7 +632,7 @@ def test_witness_path_ranges_hold_without_clamps(pair):
     h = intermediate_h(f, g)
     assert np.all(h.values >= f.values)
     steps = submaj.relations._hlp_chain(*map(submaj.relations._Sorted, (h.values, g.values)), DEFAULT_CLASS_TOL)
-    assert all(0.0 < step.t <= 1.0 for step in steps)
+    assert all(0.0 < step[2] <= 1.0 for step in steps)
     verdict = check_submajorize(f, g)
     assert np.all(verdict.witness.data <= verdict.certificate.completion.data)
 
@@ -992,7 +994,7 @@ def test_witness_factors_are_checked_not_assumed(monkeypatch):
     sf, sg = submaj.relations._Sorted(f.values), submaj.relations._Sorted(g.values)
     steps = submaj.relations._hlp_chain(sf, sg, DEFAULT_CLASS_TOL)
     for t in (-0.25, 1.25, float("nan")):
-        bad = steps[:-1] + (steps[-1]._replace(t=t),)
+        bad = steps[:-1] + (steps[-1][:2] + (t,),)
         with pytest.raises(RuntimeError, match=r"coefficient outside \[0, 1\]"):
             submaj.relations._ChainMatrix(bad, sf.order, sg.order, DEFAULT_CLASS_TOL)
     # An h one ulp below f = g would give row scales above 1, so W would not
@@ -1000,6 +1002,104 @@ def test_witness_factors_are_checked_not_assumed(monkeypatch):
     monkeypatch.setattr(submaj.relations, "_raised", lambda sf, sg: np.nextafter(sf.raw, 0))
     with pytest.raises(RuntimeError, match=r"row scales outside \[0, 1\]"):
         check_submajorize(g, g)
+
+
+
+def _ulp_walk(x, towards, count):
+    out = []
+    for _ in range(count):
+        x = float(np.nextafter(x, towards))
+        out.append(x)
+    return out
+
+
+# t at the edges of the lemma's two cases: 0, the least subnormal, every power
+# of two, 1/2 and 1 with their neighbouring ulps.
+_EDGE_T = (
+    0.0, 5e-324, 1.0, *(2.0**-k for k in range(1, 1075)),
+    *_ulp_walk(0.5, 0.0, 4), *_ulp_walk(0.5, 1.0, 4), *_ulp_walk(1.0, 0.0, 4),
+)
+
+
+@st.composite
+def _unit_t_chains(draw):
+    """(n, steps): up to 40 steps (i, j, t), 1 <= i < j <= n, t in [0, 1]."""
+    n = draw(st.integers(2, 12))
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(sorted)
+    t = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_T))
+    return n, [(i, j, x) for (i, j), x in draw(st.lists(st.tuples(pair, t), max_size=40))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_unit_t_chains())
+def test_ones_pass_through_a_chain_of_unit_t_exactly(chain):
+    # fl(fl(1 - t) * 1 + t * 1) = 1 for every t in [0, 1]: for t >= 1/2,
+    # 1 - t is exact (Sterbenz); below, fl(1 - t) = 1 - t + e with
+    # |e| <= 2^-54, and 1 + e rounds to 1 (the tie at e = -2^-54 to the even
+    # neighbour, 1).  The chain witnesses take their sums from this.
+    n, steps = chain
+    assert submaj.relations._mixed(steps, [1.0] * n) == [1.0] * n
+    assert submaj.relations._mixed(steps[::-1], [1.0] * n) == [1.0] * n
+
+
+def test_ones_pass_through_every_edge_t_exactly():
+    for t in _EDGE_T:
+        assert submaj.relations._mixed([(1, 2, t)], [1.0, 1.0]) == [1.0, 1.0], t
+
+
+def _chain_witnesses(f, g):
+    """Every chain matrix the relations build for (f, g): W and D1, the
+    majorization witness and ``hlp_witness().product``, as far as each holds."""
+    out = []
+    verdict = check_submajorize(f, g)
+    if verdict.holds:
+        out += [verdict.witness, verdict.certificate.completion]
+    major = check_majorize(f, g)
+    if major.holds:
+        out += [major.witness, hlp_witness(f, g).product]
+    return out
+
+
+def _assert_sums_are_the_chain_passes(m):
+    # The sums as computed before the lemma, kept as the oracle: ones pushed
+    # through the chain (for W, then scaled by s) and pulled back through it.
+    ones = np.ones(m.n)
+    rows, cols = m._matvec(ones), m._rmatvec(ones)
+    assert m.row_sums.tobytes() == rows.tobytes()
+    assert m.col_sums.tobytes() == cols.tobytes()
+    assert m.matrix_class is submaj.matrices._class_of(rows, cols, DEFAULT_CLASS_TOL)
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_chain_sums_equal_the_chain_passes_on_perfbench_pairs(n):
+    from perfbench import inputs
+
+    for k in range(1, 4):
+        for pair in (inputs.weak_pair, inputs.major_pair):
+            f, g = pair(np.random.default_rng([1, k]), n)
+            witnesses = _chain_witnesses(NonNegVector(f), NonNegVector(g))
+            assert len(witnesses) == (4 if pair is inputs.major_pair else 2)
+            for m in witnesses:
+                _assert_sums_are_the_chain_passes(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_holding_weak_pairs())
+def test_chain_sums_equal_the_chain_passes(pair):
+    for m in _chain_witnesses(*pair):
+        _assert_sums_are_the_chain_passes(m)
+
+
+def test_hlp_witness_keeps_named_steps_and_its_json():
+    chain = hlp_witness(V(0.25, 0.5, 0.25), V(0, 1, 0))
+    assert all(type(step) is TTransformStep for step in chain.steps)
+    assert [step.t for step in chain.steps] == [0.25, 1 / 3]
+    assert json.dumps(chain.to_json_dict()) == (
+        '{"steps": [{"i": 1, "j": 2, "t": 0.25}, {"i": 1, "j": 3, "t": 0.3333333333333333}], '
+        '"pre_perm": [2, 1, 3], "post_perm": [2, 1, 3], "product": {"n": 3, "data": [0.75, 0.25, 0.0, '
+        '0.16666666666666669, 0.5, 0.3333333333333333, 0.08333333333333333, 0.25, 0.6666666666666667], '
+        '"class": "doubly-stochastic"}}'
+    )
 
 
 class TestWeakWitness:
