@@ -17,8 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import DEFAULT_CLASS_TOL
-from .matrices import apply as matrix_apply
-from .matrices import shift_matrix
 from .preservers import Injection, InjectionFamily, PreserverSpec, TruncatedOperator
 from .relations import check_weak_majorize, strict_permutation
 from .vectors import NonNegVector
@@ -172,20 +170,20 @@ class ReciprocalSquareReport:
 
 
 def reciprocal_square_example(n: int, tol: float = DEFAULT_CLASS_TOL) -> ReciprocalSquareReport:
-    """Build f(i) = 1/i^2 and g = (right shift of f) at truncation n."""
+    """Build f(i) = 1/i^2 and g, the forced right shift applied to f, at truncation n.
+
+    :func:`shift_forcing` holds the shift as its n - 1 cells, so this takes
+    O(n) memory; the left shift of g, ``g[1:]``, is compared with f."""
     if n < 1:
         raise ValueError("truncation must be at least 1")
     f = NonNegVector(np.array([1.0 / (i * i) for i in range(1, n + 1)]))
-    right = shift_matrix(n, "right")
-    g = matrix_apply(right, f)
+    g = shift_forcing(f).forced.apply(f)
 
     right_exact = bool(np.array_equal(g.values, np.concatenate(([0.0], f.values[:-1]))))
     weak_g_under_f = check_weak_majorize(g, f, tol, with_witness=False).holds
     weak_f_under_g = check_weak_majorize(f, g, tol, with_witness=False).holds
 
-    left = shift_matrix(n, "left")
-    lg = left.data @ g.values
-    window_exact = bool(np.array_equal(lg[: n - 1], f.values[: n - 1])) if n > 1 else True
+    window_exact = bool(np.array_equal(g.values[1:], f.values[: n - 1]))
     boundary_defect = float(f.values[-1])
 
     matched = tuple(

@@ -108,28 +108,20 @@ def classify_matrix(data, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
 
 
 def _classify(arr: np.ndarray, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
-    """:func:`classify_matrix` on a float array nobody else holds; it is frozen in place."""
+    """:func:`classify_matrix` on a float array nobody else holds; it is frozen in place.
+
+    One check order: square, nonempty, then a ``min`` and ``max`` screen,
+    behind which finiteness is checked before nonnegativity; then the sums,
+    computed once (numpy warns if a finite row or column overflows)."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
     if arr.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    # One reduction and the two sums decide the common case: with no negative
-    # or NaN entry (the min is then >= 0), finite sums mean finite entries.
-    sums = None
-    if arr.min() >= 0:
-        with np.errstate(over="ignore"):
-            sums = arr.sum(axis=1), arr.sum(axis=0)
-        if not all(np.isfinite(s).all() for s in sums):
-            sums = None
-    if sums is None:
-        # An infinite, NaN or negative entry, or finite entries whose sums
-        # overflow: the entrywise checks in order, then the sums again, now
-        # with numpy's overflow warning.
+    if not (arr.min() >= 0 and arr.max() < np.inf):  # NaN fails both
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("matrix entries must be nonnegative")
-        sums = arr.sum(axis=1), arr.sum(axis=0)
+        raise ValueError("matrix entries must be nonnegative")
+    sums = arr.sum(axis=1), arr.sum(axis=0)
     for a in (arr, *sums):
         a.flags.writeable = False
     return StochMatrix(data=arr, row_sums=sums[0], col_sums=sums[1], matrix_class=_class_of(*sums, tol))
@@ -137,9 +129,9 @@ def _classify(arr: np.ndarray, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
 
 def _class_of(row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> MatrixClass:
     """The one class rule: the strongest class that the row and column sums of
-    a finite nonnegative matrix allow.  :func:`_classify` passes the sums it
-    reduced from the entries, the witnesses of :mod:`submaj.relations` the
-    sums they pushed through their T-transform chain."""
+    a finite nonnegative matrix allow.  :func:`_classify` passes the two sums
+    it computes once from the screened entries, the witnesses of
+    :mod:`submaj.relations` the sums that their T-transform chain gives."""
     if np.all(np.abs(row_sums - 1) <= tol) and np.all(np.abs(col_sums - 1) <= tol):
         return MatrixClass.DOUBLY_STOCHASTIC
     rows_ok = bool(np.all(row_sums <= 1 + tol))
@@ -179,10 +171,11 @@ class IncreasabilityCertificate:
 
     The existence of such a completion is exactly what makes ``base``
     increasable; in finite dimensions every doubly substochastic matrix has
-    one.  Dominance is checked by an O(n^2) entrywise scan, skipped only
-    when the base was built from the completion itself: the weak witness
-    W = diag(s) D1 of :mod:`submaj.relations`, with 0 <= s <= 1 checked,
-    under its own factor D1.
+    one.  Dominance is checked by one O(n^2) entrywise comparison, which
+    makes n x n temporaries; it is skipped only when the base was built from
+    the completion itself: the weak witness W = diag(s) D1 of
+    :mod:`submaj.relations`, with 0 <= s <= 1 checked, under its own factor
+    D1.
     """
 
     base: StochMatrix
@@ -220,13 +213,9 @@ class IncreasabilityCertificate:
 
 
 def _dominates(upper: np.ndarray, lower: np.ndarray) -> bool:
-    """Whether ``upper >= lower - DEFAULT_CLASS_TOL`` entrywise, compared in row
-    blocks so that no n x n temporary is made."""
-    block = max(1, 2**14 // lower.shape[0])
-    return not any(
-        np.any(upper[r : r + block] < lower[r : r + block] - DEFAULT_CLASS_TOL)
-        for r in range(0, lower.shape[0], block)
-    )
+    """Whether ``upper >= lower - DEFAULT_CLASS_TOL`` entrywise; the comparison
+    makes n x n temporaries."""
+    return not np.any(upper < lower - DEFAULT_CLASS_TOL)
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,7 +123,7 @@ class TTransformChain:
         for s in self.steps:
             if not (1 <= s.i < s.j <= n):
                 raise ValueError(f"step coordinates out of range: {s}")
-            if not -1e-15 <= s.t <= 1 + 1e-15:
+            if not 0.0 <= s.t <= 1.0:
                 raise ValueError(f"step coefficient outside [0, 1]: {s}")
         for name, perm in (("pre_perm", self.pre_perm), ("post_perm", self.post_perm)):
             if sorted(perm) != list(range(1, n + 1)):

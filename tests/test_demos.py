@@ -1,4 +1,5 @@
 """Worked examples: shift forcing, index-map formulas, reciprocal squares."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 import submaj.demos
 from submaj.demos import (
+    ForcingResult,
+    ReciprocalSquareReport,
     constant_row_support_index,
     display_spec,
     quadratic_family,
@@ -15,10 +18,35 @@ from submaj.demos import (
     theta_triangular,
     triangular_family,
 )
-from submaj.matrices import shift_matrix
+from submaj.config import DEFAULT_CLASS_TOL
+from submaj.matrices import apply, shift_matrix
+from submaj.preservers import TruncatedOperator
+from submaj.relations import check_weak_majorize, strict_permutation
 from submaj.vectors import NonNegVector
 
 V = NonNegVector.of
+
+
+def _dense_reciprocal_square(n, tol=DEFAULT_CLASS_TOL):
+    """reciprocal_square_example through the two dense n x n shift matrices it
+    used to build, kept as a reference."""
+    f = NonNegVector(np.array([1.0 / (i * i) for i in range(1, n + 1)]))
+    g = apply(shift_matrix(n, "right"), f)
+    lg = shift_matrix(n, "left").data @ g.values
+    padded = f.values.copy()
+    padded[-1] = 0.0
+    return ReciprocalSquareReport(
+        n=n,
+        f=f,
+        g=g,
+        right_shift_witness_exact=bool(np.array_equal(g.values, np.concatenate(([0.0], f.values[:-1])))),
+        weak_g_under_f_holds=check_weak_majorize(g, f, tol, with_witness=False).holds,
+        weak_f_under_g_holds=check_weak_majorize(f, g, tol, with_witness=False).holds,
+        left_shift_window_exact=bool(np.array_equal(lg[: n - 1], f.values[: n - 1])) if n > 1 else True,
+        window_boundary_defect=float(f.values[-1]),
+        partial_matched_support=tuple(i for i in range(1, n) if g.values[i] == f.values[i - 1]),
+        strict_perm_with_zero_pad=strict_permutation(NonNegVector(padded), g),
+    )
 
 
 def _grid_shift_forcing(g):
@@ -154,12 +182,36 @@ class TestReciprocalSquareExample:
         assert report.infinite_range_excludes_zero
 
     def test_shift_witness_is_checked_against_an_independent_shift(self, monkeypatch):
-        # g is built through shift_matrix, so the check must not go through it.
-        def swapped(n, direction):
-            return shift_matrix(n, "left" if direction == "right" else direction)
+        # g is built through shift_forcing, so the check must not go through it.
+        def left_shift(g):
+            k = np.arange(1, g.dim)
+            left = TruncatedOperator._from_cells(g.dim, g.dim, k, k + 1, np.ones(g.dim - 1))
+            return ForcingResult(forced=left, fully_determined=True, conclusion="left")
 
-        monkeypatch.setattr(submaj.demos, "shift_matrix", swapped)
+        monkeypatch.setattr(submaj.demos, "shift_forcing", left_shift)
         assert not reciprocal_square_example(4).right_shift_witness_exact
+
+    def test_reports_equal_the_dense_shift_reference_bitwise(self):
+        for n in range(1, 301):
+            new, old = reciprocal_square_example(n), _dense_reciprocal_square(n)
+            for field in dataclasses.fields(ReciprocalSquareReport):
+                a, b = getattr(new, field.name), getattr(old, field.name)
+                if isinstance(a, NonNegVector):
+                    assert a.values.tobytes() == b.values.tobytes(), (n, field.name)
+                elif isinstance(a, float):
+                    assert np.float64(a).tobytes() == np.float64(b).tobytes(), (n, field.name)
+                else:
+                    assert type(a) is type(b) and a == b, (n, field.name)
+
+    def test_scales_without_dense_shifts(self):
+        tracemalloc.start()
+        try:
+            report = reciprocal_square_example(20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.right_shift_witness_exact and report.left_shift_window_exact
+        assert peak < 32 * 2**20  # the two dense shifts would need 2 x 3 GiB
 
     def test_n2_window(self):
         report = reciprocal_square_example(2)

@@ -376,3 +376,128 @@ class TestShift:
 
     def test_zero_matrix_is_substochastic(self):
         assert zero_matrix(3).matrix_class is MatrixClass.DOUBLY_SUBSTOCHASTIC
+
+
+def _two_path_classify(arr, tol=submaj.matrices.DEFAULT_CLASS_TOL):
+    """The reductions-first classifier that the one screened path replaced, kept
+    as a reference: sums first under errstate, the entrywise checks and a
+    second summation only when a sum is not finite."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("matrix must be square")
+    if arr.shape[0] < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    sums = None
+    if arr.min() >= 0:
+        with np.errstate(over="ignore"):
+            sums = arr.sum(axis=1), arr.sum(axis=0)
+        if not all(np.isfinite(s).all() for s in sums):
+            sums = None
+    if sums is None:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
+        if np.any(arr < 0):
+            raise ValueError("matrix entries must be nonnegative")
+        sums = arr.sum(axis=1), arr.sum(axis=0)
+    for a in (arr, *sums):
+        a.flags.writeable = False
+    return StochMatrix(
+        data=arr, row_sums=sums[0], col_sums=sums[1], matrix_class=submaj.matrices._class_of(*sums, tol)
+    )
+
+
+def _row_blocked_dominates(upper, lower):
+    """The row-blocked dominance scan that the one comparison replaced, kept as
+    a reference."""
+    block = max(1, 2**14 // lower.shape[0])
+    return not any(
+        np.any(upper[r : r + block] < lower[r : r + block] - submaj.matrices.DEFAULT_CLASS_TOL)
+        for r in range(0, lower.shape[0], block)
+    )
+
+
+def _outcome(fn, *args):
+    """What a call gives, bit for bit: its result or its exception type and
+    message, and the number of RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    if isinstance(out, StochMatrix):
+        out = (out.matrix_class, out.row_sums.tobytes(), out.col_sums.tobytes(), out.data.tobytes())
+    return out, sum(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def _classify_corpus():
+    rng = np.random.default_rng(18)
+    for n in list(range(1, 41)) + [500]:
+        raw = rng.uniform(0.0, 1.0, size=(n, n))
+        raw[rng.uniform(size=(n, n)) < 0.2] = 0.0
+        yield raw
+        full = raw + 0.01
+        yield full / full.sum(axis=1, keepdims=True)  # row stochastic, columns free
+        yield full / full.sum(axis=0, keepdims=True)
+        yield random_doubly_substochastic(rng, n).data
+        yield random_doubly_stochastic(rng, n).data
+    base = np.array([[0.5, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.5]])
+    for value in (np.nan, np.inf, -np.inf, -1.0, -1e-300, -0.0, 5e-324):
+        for pos in ((0, 0), (1, 2), (2, 1)):
+            bad = base.copy()
+            bad[pos] = value
+            yield bad
+    yield np.full((3, 3), -0.0)
+    yield np.array([[np.nan, -1.0], [0.0, 1.0]])
+    yield np.array([[-1.0, np.nan], [0.0, 1.0]])
+    yield np.array([[1e308, 1e308], [0.0, 0.0]])  # a finite row overflows
+    yield np.array([[1e308, 0.0], [1e308, 0.0]])  # a finite column overflows
+    yield np.array([[1e308, 1e308], [1e308, 1e308]])
+    yield np.array([[np.inf, 0.0], [1e308, 1e308]])
+    yield np.array([[1e308, 1e308], [-1.0, 0.0]])
+    for shape in ((0, 0), (0,), (1, 0), (0, 1), (2, 3), (3, 2), (4,), (), (2, 2, 2)):
+        yield np.zeros(shape)
+
+
+def test_one_path_classify_matches_the_two_path_reference():
+    corpus = list(_classify_corpus())
+    seen = set()
+    for data in corpus:
+        new = _outcome(_classify, np.array(data, dtype=float, copy=True))
+        old = _outcome(_two_path_classify, np.array(data, dtype=float, copy=True))
+        assert new == old, (data, new, old)
+        assert _outcome(classify_matrix, data) == old
+        seen.add(new[0][0] if isinstance(new[0][0], MatrixClass) else new[0][1])
+        seen.add(("warnings", new[1]))
+    # The corpus reaches every class, every error and the overflow warning.
+    assert set(MatrixClass) <= seen
+    assert {
+        "matrix must be square",
+        "matrix dimension must be at least 1",
+        "matrix entries must be finite",
+        "matrix entries must be nonnegative",
+    } <= seen
+    assert ("warnings", 1) in seen
+
+
+def test_one_comparison_dominance_matches_the_row_blocked_reference():
+    rng = np.random.default_rng(18)
+    tol = submaj.matrices.DEFAULT_CLASS_TOL
+    cases = 0
+    for n in (1, 2, 3, 7, 40, 129, 300):
+        lower = rng.uniform(0.0, 1.0, size=(n, n))
+        for pos in {(0, 0), (n - 1, n - 1), (n // 2, n - 1), (n - 1, 0)}:
+            at_bound = lower - tol
+            upper = lower + rng.uniform(0.0, 0.5, size=(n, n))
+            for value, dominates in (
+                (at_bound[pos], True),
+                (np.nextafter(at_bound[pos], -np.inf), False),
+                (np.nextafter(at_bound[pos], np.inf), True),
+            ):
+                u = upper.copy()
+                u[pos] = value
+                assert submaj.matrices._dominates(u, lower) is dominates
+                assert _row_blocked_dominates(u, lower) is dominates
+                cases += 1
+        upper = lower + rng.uniform(-1e-3, 1e-3, size=(n, n))
+        assert submaj.matrices._dominates(upper, lower) == _row_blocked_dominates(upper, lower)
+    assert cases > 50

@@ -396,6 +396,20 @@ class TestHlpWitness:
         with pytest.raises(ValueError, match=f"{bad} must be a permutation of 1..3"):
             TTransformChain(steps=(), pre_perm=pre, post_perm=post, product=identity_matrix(3))
 
+    @pytest.mark.parametrize("t", [-1e-16, 1 + 2**-52, float("nan")])
+    def test_chain_rejects_coefficients_just_outside_the_unit_interval(self, t):
+        # The exact-ones lemma and nonnegativity of the product need the closed
+        # [0, 1] that _ChainMatrix checks, with no slack on either side.
+        with pytest.raises(ValueError, match=r"step coefficient outside \[0, 1\]"):
+            TTransformChain(steps=(TTransformStep(1, 2, t),), pre_perm=(1, 2), post_perm=(1, 2),
+                            product=identity_matrix(2))
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 1.0])
+    def test_chain_accepts_the_closed_unit_interval(self, t):
+        chain = TTransformChain(steps=(TTransformStep(1, 2, t),), pre_perm=(1, 2), post_perm=(1, 2),
+                                product=identity_matrix(2))
+        assert chain.steps[0].t == t
+
     def test_random_chains_are_short_sound_and_reconstructible(self):
         rng = np.random.default_rng(22)
         for _ in range(60):
