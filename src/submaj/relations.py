@@ -20,7 +20,11 @@ dominates W entrywise, so D1 is the submajorization certificate, and its
 ``steps`` is empty (no greedy completion runs).  Each call sorts every
 vector once and decides once.  A decision sorts values only; the stable
 tie-broken order is computed only when a witness, h or a permutation is
-built, and the witness is built from that same sorted data.
+built, and the witness is built from that same sorted data.  The decision
+scans the two sorted copies in cache-sized blocks with a carried running
+total, bitwise the sums of one whole-vector ``cumsum``, and stops at the
+first block that fails; whole-vector partial sums are built only for the
+weak witness.
 The chain itself picks each step from index sets it keeps up to date (j,
 the last position with y - x > eps, and the sorted positions with y < x),
 O(n log n + steps) in all rather than O(n) per step.
@@ -274,24 +278,56 @@ class _ChainMatrix(StochMatrix):
 
 
 class _Sorted:
-    """A vector sorted once: the vector, its non-increasing values and their
-    partial sums, from one values-only sort.
+    """A vector sorted once: the vector and its non-increasing values, from
+    one values-only sort.
 
     ``order``, the stable non-increasing order (0-based, ties by ascending
     index), is computed on first use: a decision needs only the values, and
     only code that un-sorts (a witness, h, a permutation) reads the order.
     ``raw[order]`` equals ``values`` bitwise for any ``raw`` without -0.0,
-    which a NonNegVector never stores.
+    which a NonNegVector never stores.  ``sums``, the partial sums of
+    ``values``, are built on first use too: only the weak witness's
+    :func:`_raised` reads them, since :func:`_decide` scans blocks and makes
+    no n-length sums.
     """
 
     def __init__(self, raw: np.ndarray) -> None:
         self.raw = raw
         self.values = np.sort(raw)[::-1]
-        self.sums = np.cumsum(self.values)
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        return np.cumsum(self.values)
 
     @cached_property
     def order(self) -> np.ndarray:
         return np.argsort(-self.raw, kind="stable")
+
+
+# Positions per block of the decision's scan, chosen from timings of blocks
+# of 4096 to 65536 at n = 10^4, 3 * 10^4 and 10^5.  Its buffers (three float
+# rows and one bool row, about 400 KB) stay in a core's L2 cache, a vector
+# of up to 16384 entries is scanned in one block with no copy, and a pair
+# that fails in the first block pays little more than its two sorts.
+_BLOCK = 16384
+
+
+def _block_sums(values: np.ndarray, start: int, carry, out: np.ndarray) -> None:
+    """The partial sums of ``values`` at positions start, start + 1, ...,
+    into ``out``, given ``carry``, the partial sum at start - 1.
+
+    Past the first block, the block is copied with the carry added to its
+    first value and accumulated in place: ``np.cumsum`` is the sequential
+    ``add.accumulate``, each sum the rounded sum of the one before and the
+    next value, so every sum is bitwise what one ``cumsum`` over the whole
+    vector gives.
+    """
+    block = values[start : start + out.size]
+    if start:
+        out[...] = block
+        out[0] += carry
+        block = out
+    np.cumsum(block, out=out)
 
 
 def _decide(
@@ -301,20 +337,39 @@ def _decide(
 
     ``equal_totals`` adds the majorization condition on the last position.
     Returns both sorted vectors and the failing verdict (None if it holds).
+
+    The sorted values are scanned in blocks of ``_BLOCK`` positions, each
+    block's partial sums carried on from the last (:func:`_block_sums`), in
+    buffers reused from block to block: the only n-length arrays made are the
+    two sorted copies.  Every partial sum, and with it every comparison,
+    ``failed_index`` and message, is bitwise what one ``cumsum`` over the
+    whole vector gives.  The scan stops at the first block that holds a
+    failing position, so a pair that fails early pays little more than its
+    two sorts.
     """
     f2, g2 = common_dim(f, g)
     sf, sg = _Sorted(f2.values), _Sorted(g2.values)
-    pf, pg = sf.sums, sg.sums
-    bad = np.nonzero(pf > pg + tol)[0]
-    if bad.size:
-        k = int(bad[0])
-        message = f"sorted partial sums fail at position {k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
-    elif equal_totals and abs(pf[-1] - pg[-1]) > tol:
-        k = pf.size - 1
-        message = f"totals differ at position {k + 1}: {pf[k]:.12g} vs {pg[k]:.12g}"
-    else:
-        return sf, sg, None
-    return sf, sg, RelationVerdict(holds=False, failed_index=k + 1, message=message)
+    n = f2.dim
+    size = min(n, _BLOCK)
+    buffers, above_buffer = np.empty((3, size)), np.empty(size, dtype=bool)
+    carry_f = carry_g = None
+    for start in range(0, n, size):
+        width = min(size, n - start)
+        pf, pg, bound = buffers[:, :width]
+        above = above_buffer[:width]
+        _block_sums(sf.values, start, carry_f, pf)
+        _block_sums(sg.values, start, carry_g, pg)
+        np.add(pg, tol, out=bound)
+        np.greater(pf, bound, out=above)
+        if above.any():
+            k = int(above.argmax())
+            message = f"sorted partial sums fail at position {start + k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
+            return sf, sg, RelationVerdict(holds=False, failed_index=start + k + 1, message=message)
+        carry_f, carry_g = pf[-1], pg[-1]
+    if equal_totals and abs(carry_f - carry_g) > tol:
+        message = f"totals differ at position {n}: {carry_f:.12g} vs {carry_g:.12g}"
+        return sf, sg, RelationVerdict(holds=False, failed_index=n, message=message)
+    return sf, sg, None
 
 
 def _require(f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool) -> tuple[_Sorted, _Sorted]:

@@ -63,7 +63,7 @@ class NonNegVector:
             return self
         out = np.zeros(dim)
         out[: self.dim] = self.values
-        return NonNegVector(out)
+        return NonNegVector._adopt(out)
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the strictly positive entries."""

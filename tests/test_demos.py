@@ -213,6 +213,17 @@ class TestReciprocalSquareExample:
         assert report.right_shift_witness_exact and report.left_shift_window_exact
         assert peak < 32 * 2**20  # the two dense shifts would need 2 x 3 GiB
 
+    def test_literal_weak_check_holds_once_the_last_value_falls_within_tol(self):
+        # 1/31622^2 exceeds the absolute tol 1e-9 and 1/31623^2 does not:
+        # fault 2b's absolute-tol form.  The failing position lies past the
+        # decision's first block edge.
+        for n, holds in ((31622, False), (31623, True)):
+            report = reciprocal_square_example(n)
+            assert report.weak_f_under_g_holds is holds
+            verdict = check_weak_majorize(report.f, report.g, with_witness=False)
+            assert (verdict.holds, verdict.failed_index) == (holds, None if holds else n)
+            assert report.weak_g_under_f_holds and report.left_shift_window_exact
+
     def test_n2_window(self):
         report = reciprocal_square_example(2)
         assert report.g.values.tolist() == [0, 1]

@@ -316,6 +316,117 @@ class TestValuesOnlySort:
             strict_permutation(V(1, 2), V(2, 1))
 
 
+def _block_edge_pairs():
+    """Pairs whose verdicts turn at or next to the block edges of the
+    decision's scan: (label, f, g, planted first failing position or None).
+
+    g is n, n - 1, ..., 1 times a power of two, so every partial sum is exact.
+    A planted pair moves 1/4 (scaled) from sorted position p + 1 to p, so its
+    sums exceed g's at p alone; p runs over the first and the last position
+    of every block.  Totals pairs move f's total to one ulp either side of,
+    and onto, fl(G_n + tol) and fl(G_n - tol).  Unequal dimensions straddle
+    an edge.
+    """
+    block = submaj.relations._BLOCK
+    rng = np.random.default_rng(19)
+    sizes = [block - 1, block, block + 1, 2 * block, 2 * block + 1, *rng.integers(1, 5 * block, size=3).tolist()]
+    scales = [2.0**e for e in (-60, -20, 0, 20, 60)]
+    for case, n in enumerate(sizes):
+        g = np.arange(n, 0, -1, dtype=float)
+        planted_scale = scales[1 + case % 4]  # a quarter clears tol at 2^-20 and above
+        for p in sorted({q for start in range(0, n, block) for q in (start + 1, min(start + block, n))}):
+            f = g.copy()
+            f[p - 1] += 0.25
+            if p < n:
+                f[p] -= 0.25
+            yield f"planted at {p}, n={n}", f[rng.permutation(n)] * planted_scale, g * planted_scale, p
+        scale = scales[case % 5]
+        gs = g * scale
+        yield f"permuted, n={n}", gs[rng.permutation(n)], gs, None
+        head = np.cumsum(gs)[-2] if n > 1 else 0.0
+        total = np.cumsum(gs)[-1]
+        for edge in (total + DEFAULT_CLASS_TOL, total - DEFAULT_CLASS_TOL):
+            for target in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                f = gs.copy()
+                f[-1] = max(0.0, target - head)
+                yield f"total near {target!r}, n={n}", f[rng.permutation(n)], gs, None
+        for m in (max(1, n - 2), n + 2):
+            f = np.arange(m, 0, -1, dtype=float) * scale
+            yield f"dims {m} and {n}", f[rng.permutation(m)], gs, None
+
+
+class TestBlockedScan:
+    def test_block_edges_match_the_whole_vector_reference(self):
+        messages = set()
+        for label, f, g, planted in _block_edge_pairs():
+            f, g = NonNegVector(f), NonNegVector(g)
+            for check, (equal_totals, holds_message) in _HOLDS.items():
+                holds, failed_index, message = _decide_reference(f, g, DEFAULT_CLASS_TOL, equal_totals)
+                if planted is not None:
+                    assert failed_index == planted, label
+                want = (holds, failed_index, message if message is not None else holds_message)
+                for with_witness in (True, False):
+                    verdict = check(f, g, with_witness=with_witness)
+                    assert (verdict.holds, verdict.failed_index, verdict.message) == want, (label, check)
+                messages.add(want[2].split(" at position")[0])
+        assert messages == {
+            "sorted partial sums fail", "totals differ", "majorization holds", "weak majorization holds",
+            "submajorization holds (finite collapse to the weak relation)",
+        }
+
+    def test_random_sizes_match_the_whole_vector_reference(self):
+        block = submaj.relations._BLOCK
+        rng = np.random.default_rng(20)
+        for case in range(24):
+            n = int(rng.integers(1, 5 * block))
+            scale = 2.0 ** int(rng.integers(-60, 61))
+            g = rng.integers(0, 2**20, size=n) / 2.0**20
+            f = [0.9 * g, g[rng.permutation(n)], rng.integers(0, 2**20, size=n) / 2.0**20][case % 3]
+            if case % 4 == 0:
+                f = f[: int(rng.integers(1, n + 1))]
+            f, g = NonNegVector(f * scale), NonNegVector(g * scale)
+            for check, (equal_totals, holds_message) in _HOLDS.items():
+                holds, failed_index, message = _decide_reference(f, g, DEFAULT_CLASS_TOL, equal_totals)
+                want = (holds, failed_index, message if message is not None else holds_message)
+                verdict = check(f, g, with_witness=False)
+                assert (verdict.holds, verdict.failed_index, verdict.message) == want, (case, n, check)
+
+    def test_weak_decision_at_n_1e6_holds_only_the_two_sorted_copies(self):
+        n = 10**6
+        f, g = (NonNegVector(v) for v in _perfbench_weak_pair(n))
+        tracemalloc.start()
+        try:
+            verdict = check_weak_majorize(f, g, with_witness=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        assert peak < 2.25 * 8 * n  # two sorted copies and the block buffers; whole-vector sums took 5.1 x 8n
+
+    def test_only_the_weak_witness_builds_partial_sums(self, monkeypatch):
+        made = []
+
+        class Recorded(submaj.relations._Sorted):
+            def __init__(self, raw):
+                super().__init__(raw)
+                made.append(self)
+
+        monkeypatch.setattr(submaj.relations, "_Sorted", Recorded)
+        f, g = V(0.5, 0.25, 0.0), V(1.0, 0.0, 0.0)
+        for run in (
+            lambda: submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals=False),
+            lambda: strict_permutation(f, g),
+            lambda: strict_permutation(g, g),
+            lambda: partial_permutation(f, f),
+        ):
+            made.clear()
+            run()
+            assert len(made) == 2 and all("sums" not in vars(s) for s in made)
+        made.clear()
+        check_weak_majorize(f, g)  # the weak witness's _raised reads both
+        assert all("sums" in vars(s) for s in made[:2])
+
+
 class TestCheckWeakMajorize:
     def test_smaller_vector_holds(self):
         verdict = check_weak_majorize(V(0.3, 0.2), V(1, 0))

@@ -1,6 +1,7 @@
 """Vector primitives: rearrangements, partial sums, level sets, p-norms."""
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ class TestConstruction:
         assert v.values.tolist() == [1, 2, 0, 0]
         with pytest.raises(ValueError):
             NonNegVector.of(1, 2, 3).padded(2)
+
+    def test_padded_values_are_the_zero_extension_and_read_only(self):
+        rng = np.random.default_rng(19)
+        for m, n in ((1, 2), (5, 5), (7, 40), (16383, 16385)):
+            v = NonNegVector(rng.uniform(0, 1, m) * (rng.uniform(size=m) > 0.3))
+            padded = v.padded(n)
+            assert padded.values.tobytes() == np.concatenate([v.values, np.zeros(n - m)]).tobytes()
+            assert not padded.values.flags.writeable
+            assert padded is v or not np.shares_memory(padded.values, v.values)
+        v, n = NonNegVector(np.ones(10**6 - 1)), 10**6
+        tracemalloc.start()
+        try:
+            v.padded(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n  # the zero-filled array is kept, not copied again
 
     def test_common_dim(self):
         f, g = common_dim(NonNegVector.of(1), NonNegVector.of(2, 3))
