@@ -317,7 +317,7 @@ def _block_sums(values: np.ndarray, start: int, carry, out: np.ndarray) -> None:
     into ``out``, given ``carry``, the partial sum at start - 1.
 
     Past the first block, the block is copied with the carry added to its
-    first value and accumulated in place: ``np.cumsum`` is the sequential
+    first value and accumulated in place: ``cumsum`` is the sequential
     ``add.accumulate``, each sum the rounded sum of the one before and the
     next value, so every sum is bitwise what one ``cumsum`` over the whole
     vector gives.
@@ -327,7 +327,7 @@ def _block_sums(values: np.ndarray, start: int, carry, out: np.ndarray) -> None:
         out[...] = block
         out[0] += carry
         block = out
-    np.cumsum(block, out=out)
+    block.cumsum(out=out)
 
 
 def _decide(
@@ -351,18 +351,18 @@ def _decide(
     sf, sg = _Sorted(f2.values), _Sorted(g2.values)
     n = f2.dim
     size = min(n, _BLOCK)
-    buffers, above_buffer = np.empty((3, size)), np.empty(size, dtype=bool)
+    pf, pg, bound = np.empty((3, size))
+    above = np.empty(size, dtype=bool)
     carry_f = carry_g = None
     for start in range(0, n, size):
-        width = min(size, n - start)
-        pf, pg, bound = buffers[:, :width]
-        above = above_buffer[:width]
+        if n - start < size:  # the last block is shorter
+            pf, pg, bound, above = pf[: n - start], pg[: n - start], bound[: n - start], above[: n - start]
         _block_sums(sf.values, start, carry_f, pf)
         _block_sums(sg.values, start, carry_g, pg)
         np.add(pg, tol, out=bound)
         np.greater(pf, bound, out=above)
-        if above.any():
-            k = int(above.argmax())
+        k = int(above.argmax())  # the first True, or 0 if there is none
+        if above[k]:
             message = f"sorted partial sums fail at position {start + k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
             return sf, sg, RelationVerdict(holds=False, failed_index=start + k + 1, message=message)
         carry_f, carry_g = pf[-1], pg[-1]

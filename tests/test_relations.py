@@ -823,7 +823,8 @@ def test_chain_on_a_pair_that_is_not_majorized_stalls_like_the_scan_loop(x, y):
 
 
 def test_submajorize_scans_with_np_nonzero_a_fixed_number_of_times(monkeypatch):
-    # The decision scans once and the chain twice, however many steps it takes.
+    # The chain scans twice, however many steps it takes; the decision scans
+    # its blocks with no np.nonzero.
     n = 2000
     rng = np.random.default_rng(74)
     g = rng.uniform(0, 1, n)
