@@ -306,9 +306,12 @@ class _Sorted:
 
 # Positions per block of the decision's scan, chosen from timings of blocks
 # of 4096 to 65536 at n = 10^4, 3 * 10^4 and 10^5.  Its buffers (three float
-# rows and one bool row, about 400 KB) stay in a core's L2 cache, a vector
-# of up to 16384 entries is scanned in one block with no copy, and a pair
-# that fails in the first block pays little more than its two sorts.
+# and one bool, about 400 KB) stay in a core's L2 cache, a vector of up to
+# 16384 entries is scanned in one block with no copy, and a pair that fails
+# in the first block pays little more than its two sorts.  The buffers are
+# allocated apart: as one (3, n) array at n = 10^4 they would pass glibc's
+# 128 KiB mmap threshold, and a fresh process would map and fault them in
+# anew on every call.
 _BLOCK = 16384
 
 
@@ -351,7 +354,7 @@ def _decide(
     sf, sg = _Sorted(f2.values), _Sorted(g2.values)
     n = f2.dim
     size = min(n, _BLOCK)
-    pf, pg, bound = np.empty((3, size))
+    pf, pg, bound = np.empty(size), np.empty(size), np.empty(size)
     above = np.empty(size, dtype=bool)
     carry_f = carry_g = None
     for start in range(0, n, size):
