@@ -153,11 +153,11 @@ class ReciprocalSquareReport:
     exceeds g's by the window's last value 1/n^2, which has nowhere to go; so
     the check fails while 1/n^2 exceeds the absolute tolerance and holds
     once 1/n^2 falls within it (up to the rounding of the partial sums): at
-    the default tol 1e-9 it fails for n <= 31622 and holds from n = 31623 on.  That acceptance is fault 2b's
-    absolute-tol form: an absolute tol swallows a deficit that is real but
-    small.  The window fields exhibit the untruncated direction instead:
-    dropping the last coordinate of f gives an exact partial permutation
-    into g.
+    the default tol 1e-9 it fails for n <= 31622 and holds from n = 31623
+    on.  That acceptance is fault 2b's absolute-tol form: an absolute tol
+    swallows a deficit that is real but small.  The window fields exhibit
+    the untruncated direction instead: dropping the last coordinate of f
+    gives an exact partial permutation into g.
     ``infinite_range_excludes_zero`` is a semantic annotation (g(1) = 0 is
     not a value of the untruncated f), not a finite computation.
     """
