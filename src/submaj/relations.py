@@ -58,15 +58,14 @@ scan; every other certificate runs it.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .config import DEFAULT_CLASS_TOL
-from .matrices import IncreasabilityCertificate, StochMatrix, _class_of
+from .matrices import IncreasabilityCertificate, MatrixClass, StochMatrix, _class_of
 from .vectors import NonNegVector, common_dim
 
 
@@ -164,20 +163,23 @@ def _chain_product(steps: tuple[TTransformStep, ...], rows: np.ndarray, cols: np
         a, b = out[rows[i - 1]], out[rows[j - 1]]  # views
         np.multiply(a, t, out=ta)
         np.multiply(b, t, out=tb)
-        a *= 1 - t
+        u = 1 - t
+        a *= u
         a += tb
-        b *= 1 - t
+        b *= u
         b += ta
     return out
 
 
 def _mixed(steps, x: list) -> list:
-    """The list x pushed through the T-transforms ``steps`` in the order given,
-    in place.  Each T is symmetric, so the steps reversed pull x through the
-    transpose of their product."""
+    """The list x[1:] pushed through the T-transforms ``steps`` in the order
+    given, in place; x[0] is a placeholder, so the 1-based step coordinates
+    index x directly.  Each T is symmetric, so the steps reversed pull x
+    through the transpose of their product."""
     for i, j, t in steps:
-        a, b = x[i - 1], x[j - 1]
-        x[i - 1], x[j - 1] = (1 - t) * a + t * b, t * a + (1 - t) * b
+        a, b = x[i], x[j]
+        u = 1 - t
+        x[i], x[j] = u * a + t * b, t * a + u * b
     return x
 
 
@@ -194,9 +196,13 @@ class _ChainMatrix(StochMatrix):
     fl(fl(1 - t) + t) = 1, since 1 - t is exact for t >= 1/2 (Sterbenz) and,
     for t < 1/2, fl(1 - t) = 1 - t + e with |e| <= 2^-54, so 1 + e rounds to
     1 (the tie to the even neighbour, 1).  They are taken as ones, with no
-    pass through the chain.  s is checked to lie in [0, 1]; the scaled
-    matrix's row sums are s times the factor's, which is s, and its column
-    sums are s pulled back, its one chain pass.  ``data`` is built on its
+    pass through the chain, and the class follows from them.  s is checked
+    to lie in [0, 1]; the scaled matrix's row sums are s times the factor's,
+    which is s, and its column sums are s pulled back, its one chain pass,
+    made on their first read.  Pulled back through steps with t in [0, 1],
+    s in [0, 1]^n stays in [0, 1]^n, since rounding is monotone and ones pass
+    exactly; so when some |s_i - 1| exceeds tol >= 0 the class is doubly
+    substochastic, read off s without the pass.  ``data`` is built on its
     first read and then kept, frozen: by
     :func:`_chain_product`, or as fl(s_i * factor[i, j]) from the factor's,
     so the chain product is built once for both.
@@ -211,20 +217,36 @@ class _ChainMatrix(StochMatrix):
         scales: Optional[np.ndarray] = None,
     ) -> None:
         if scales is None:
-            if not all(0.0 <= t <= 1.0 for _, _, t in steps):
+            ts = np.fromiter(map(itemgetter(2), steps), float, len(steps))
+            if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # NaN fails both
                 raise RuntimeError("T-transform coefficient outside [0, 1]")
         elif not (scales.min() >= 0.0 and scales.max() <= 1.0):
             raise RuntimeError("weak witness row scales outside [0, 1]")
         factor = None if scales is None else _ChainMatrix(steps, rows, cols, tol)
         # The instance is frozen, so its fields go into its dict past __setattr__.
         vars(self).update(_steps=steps, _rows=rows, _cols=cols, _scales=scales, _factor=factor, _data=None)
-        ones = np.ones(len(rows))
         if factor is None:
-            row_sums = col_sums = ones  # ones pass through every checked step exactly
+            ones = np.ones(len(rows))  # ones pass through every checked step exactly
+            ones.flags.writeable = False
+            vars(self).update(row_sums=ones, _col_sums=ones)
+            cls = MatrixClass.DOUBLY_STOCHASTIC if tol >= 0 else _class_of(ones, ones, tol)
         else:
-            row_sums, col_sums = scales * factor.row_sums, self._rmatvec(ones)
-        row_sums.flags.writeable = col_sums.flags.writeable = False
-        vars(self).update(row_sums=row_sums, col_sums=col_sums, matrix_class=_class_of(row_sums, col_sums, tol))
+            row_sums = scales * factor.row_sums
+            row_sums.flags.writeable = False
+            vars(self).update(row_sums=row_sums, _col_sums=None)
+            if tol >= 0 and not np.all(np.abs(row_sums - 1) <= tol):
+                cls = MatrixClass.DOUBLY_SUBSTOCHASTIC  # every column sum lies in [0, 1]
+            else:
+                cls = _class_of(row_sums, self.col_sums, tol)
+        vars(self)["matrix_class"] = cls
+
+    @property
+    def col_sums(self) -> np.ndarray:
+        if self._col_sums is None:
+            sums = self._rmatvec(np.ones(self.n))
+            sums.flags.writeable = False
+            vars(self)["_col_sums"] = sums
+        return self._col_sums
 
     @property
     def data(self) -> np.ndarray:
@@ -250,7 +272,7 @@ class _ChainMatrix(StochMatrix):
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         """x gathered by ``cols``, pushed through the steps, scattered by ``rows``."""
         y = np.empty(x.size)
-        y[self._rows] = _mixed(self._steps, x[self._cols].tolist())
+        y[self._rows] = _mixed(self._steps, [0.0, *x[self._cols].tolist()])[1:]
         return y if self._scales is None else self._scales * y
 
     def _rmatvec(self, x: np.ndarray) -> np.ndarray:
@@ -258,7 +280,7 @@ class _ChainMatrix(StochMatrix):
         if self._scales is not None:
             x = self._scales * x
         y = np.empty(x.size)
-        y[self._cols] = _mixed(self._steps[::-1], x[self._rows].tolist())
+        y[self._cols] = _mixed(self._steps[::-1], [0.0, *x[self._rows].tolist()])[1:]
         return y
 
     def _below(self, other: StochMatrix) -> bool:
@@ -288,20 +310,48 @@ class _Sorted:
     which a NonNegVector never stores.  ``sums``, the partial sums of
     ``values``, are built on first use too: only the weak witness's
     :func:`_raised` reads them, since :func:`_decide` scans blocks and makes
-    no n-length sums.
+    no n-length sums.  Both are kept in the instance's dict on first use, so
+    later reads never reach ``__getattr__``.
     """
 
     def __init__(self, raw: np.ndarray) -> None:
         self.raw = raw
         self.values = np.sort(raw)[::-1]
 
-    @cached_property
-    def sums(self) -> np.ndarray:
-        return np.cumsum(self.values)
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name == "sums":
+            value = np.cumsum(self.values)
+        elif name == "order":
+            value = _stable_order(self.raw)
+        else:
+            raise AttributeError(name)
+        vars(self)[name] = value
+        return value
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        return np.argsort(-self.raw, kind="stable")
+
+def _stable_order(raw: np.ndarray) -> np.ndarray:
+    """``np.argsort(-raw, kind="stable")``, bitwise, from numpy's default
+    (SIMD) argsort.  The two orders differ only inside runs of equal values,
+    where the stable one lists indices ascending; so the positions in such
+    runs get the keys run * n + index, one integer sort puts every run's
+    indices in ascending order back into its own positions, and the key mod
+    n is the index."""
+    neg = -raw
+    order = np.argsort(neg)
+    values = neg[order]
+    tie = values[1:] == values[:-1]
+    if tie.any():
+        n = raw.size
+        run = np.zeros(n, dtype=np.int64)
+        np.cumsum(~tie, out=run[1:])
+        member = np.zeros(n, dtype=bool)
+        member[1:] = tie
+        member[:-1] |= tie
+        at = np.flatnonzero(member)
+        keys = run[at] * n + order[at]
+        keys.sort()
+        order[at] = keys % n
+    return order
 
 
 # Positions per block of the decision's scan, chosen from timings of blocks
@@ -470,12 +520,23 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
 
 def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[int, int, float], ...]:
     """The steps of :func:`hlp_witness`, on sorted coordinates, as plain
-    (i, j, t) tuples.
+    (i, j, t) tuples, in amortised O(n + steps) after the sorts.
 
     d = y - x is computed once.  A step changes y only at j and k, and only
     d[j] and d[k] are recomputed, with the same expression, so d stays
-    bitwise what a full recomputation would give.  ``neg`` ends in the
-    sentinel n, past every position, so the search for k always lands.
+    bitwise what a full recomputation would give; the coordinate a step pins
+    gets d = 0.0, which is what x[j] - x[j] gives, and its y, never read
+    again, is not written.
+
+    ``above`` is a stack of the positions at most j with d > eps, j on top:
+    the steps touch no position below j, and a position rises above eps only
+    as k, which then replaces j, pinned, on top.  The positions with d < 0
+    form a buffer gap at j: ``lo`` holds those below j in ascending order,
+    ``hi`` those past j in descending order, above the sentinel n that stops
+    the search, so k is ``hi[-1]``.  A j that rounding leaves short goes on
+    ``hi``, as j moves below it.  Every delete, insert and move of j is then
+    a pop or an append: j moves up only to k, past no short position, and
+    moves down past each entry of ``lo``, which only shrinks, at most once.
     """
     x = sf.values.tolist()
     y = sg.values.tolist()
@@ -485,42 +546,49 @@ def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[int, int, fl
 
     diff = sg.values - sf.values
     d = diff.tolist()
-    pos = np.nonzero(diff > eps)[0]
-    j = int(pos[-1]) if pos.size else -1  # the last position with d > eps
-    neg = np.nonzero(diff < 0)[0].tolist()
-    neg.append(n)
+    above = np.nonzero(diff > eps)[0].tolist()
+    short = np.nonzero(diff < 0)[0]
+    j = above[-1] if above else -1
+    cut = int(short.searchsorted(j))
+    lo = short[:cut].tolist()
+    hi = [n]
+    hi += short[cut:][::-1].tolist()
     steps = []
-    while j >= 0:
-        i = bisect_right(neg, j)
-        k = neg[i]
+    step = steps.append
+    while above:
+        k = hi[-1]
         if k == n:
             if max(map(abs, d)) > 10 * max(tol, eps):
                 raise RuntimeError("T-transform construction stalled; input not majorized")
             break
-        dj, short, yj, yk = d[j], -d[k], y[j], y[k]
+        dj, dk, yj, yk = d[j], d[k], y[j], y[k]
         # delta = min(d[j], -d[k]); t = delta / (y[j] - y[k]) lies in (0, 1]:
         # y[k] < x[k] <= x[j], so y[j] - y[k] >= d[j] >= delta > 0.
-        if dj <= short:
-            t = dj / (yj - yk)
+        if dj <= -dk:
+            step((j + 1, k + 1, dj / (yj - yk)))
             y[k] = yk = yk + dj
-            y[j] = yj = x[j]  # pin exactly
+            d[j] = 0.0  # pinned: y[j] = x[j]
+            d[k] = dk = yk - x[k]
+            if dk >= 0:
+                hi.pop()
+                if dk > eps:  # every position past j was at most eps and is unchanged
+                    above[-1] = j = k
+                    continue
+            above.pop()
         else:
-            t = short / (yj - yk)
-            y[j] = yj = yj - short
-            y[k] = yk = x[k]  # pin exactly
-        steps.append((j + 1, k + 1, t))
-        d[j] = dj = yj - x[j]
-        d[k] = dk = yk - x[k]
-        # neg[:i] lies below j, so j, negative only by rounding, goes in at i.
-        if dk >= 0:
-            del neg[i]
-        if dj < 0:
-            neg.insert(i, j)
-        if dk > eps:
-            j = k  # every later position was at most eps and is unchanged
-        else:
-            while j >= 0 and not d[j] > eps:
-                j -= 1
+            step((j + 1, k + 1, -dk / (yj - yk)))
+            hi.pop()
+            y[j] = yj = yj + dk
+            d[j] = dj = yj - x[j]
+            d[k] = 0.0  # pinned: y[k] = x[k]
+            if dj > eps:
+                continue
+            above.pop()
+            if dj < 0:
+                hi.append(j)
+        j = above[-1] if above else -1
+        while lo and lo[-1] > j:
+            hi.append(lo.pop())
     return tuple(steps)
 
 
@@ -541,9 +609,12 @@ def _raised(sf: _Sorted, sg: _Sorted) -> np.ndarray:
     # same amount, so the total raised through k is the least headroom of g
     # over positions k..n, capped by the deficit.
     headroom = np.minimum.accumulate((sg.sums - sf.sums)[::-1])[::-1]
-    total = np.clip(headroom, 0.0, deficit)
+    total = np.minimum(np.maximum(headroom, 0.0), deficit)  # no NaN, no -0.0: np.clip's bits
+    raised = np.empty_like(total)
+    raised[0] = total[0]
+    np.subtract(total[1:], total[:-1], out=raised[1:])
     h = np.empty_like(sf.raw)
-    h[sf.order] = sf.values + np.diff(total, prepend=0.0)
+    h[sf.order] = sf.values + raised
     return h
 
 

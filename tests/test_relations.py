@@ -163,6 +163,57 @@ def _scan_hlp_chain(sf, sg, tol):
     return tuple(steps)
 
 
+def _bisect_hlp_chain(sf, sg, tol):
+    """The chain loop that kept the positions with d < 0 in one sorted list,
+    searched with bisect and edited with del and insert at the search
+    position (each edit moves the list's tail, so long chains took quadratic
+    time), and walked j down one position at a time.  Kept as the bitwise
+    reference for the buffer-gap loop at large n."""
+    from bisect import bisect_right
+
+    x = sf.values.tolist()
+    y = sg.values.tolist()
+    n = len(x)
+    scale = max(1.0, float(sg.values.max(initial=0.0)))
+    eps = 1e-12 * scale
+    diff = sg.values - sf.values
+    d = diff.tolist()
+    pos = np.nonzero(diff > eps)[0]
+    j = int(pos[-1]) if pos.size else -1
+    neg = np.nonzero(diff < 0)[0].tolist()
+    neg.append(n)
+    steps = []
+    while j >= 0:
+        i = bisect_right(neg, j)
+        k = neg[i]
+        if k == n:
+            if max(map(abs, d)) > 10 * max(tol, eps):
+                raise RuntimeError("T-transform construction stalled; input not majorized")
+            break
+        dj, short, yj, yk = d[j], -d[k], y[j], y[k]
+        if dj <= short:
+            t = dj / (yj - yk)
+            y[k] = yk = yk + dj
+            y[j] = yj = x[j]
+        else:
+            t = short / (yj - yk)
+            y[j] = yj = yj - short
+            y[k] = yk = x[k]
+        steps.append((j + 1, k + 1, t))
+        d[j] = dj = yj - x[j]
+        d[k] = dk = yk - x[k]
+        if dk >= 0:
+            del neg[i]
+        if dj < 0:
+            neg.insert(i, j)
+        if dk > eps:
+            j = k
+        else:
+            while j >= 0 and not d[j] > eps:
+                j -= 1
+    return tuple(steps)
+
+
 def _partial_permutation_loop(f, g, value_tol):
     """The list-sort loop partial_permutation replaced, kept as a reference."""
     fpos = [i for i in range(f.dim) if f.values[i] > 0]
@@ -1163,14 +1214,15 @@ def test_ones_pass_through_a_chain_of_unit_t_exactly(chain):
     # 1 - t is exact (Sterbenz); below, fl(1 - t) = 1 - t + e with
     # |e| <= 2^-54, and 1 + e rounds to 1 (the tie at e = -2^-54 to the even
     # neighbour, 1).  The chain witnesses take their sums from this.
+    # _mixed indexes its list by the 1-based step coordinates; x[0] is a placeholder.
     n, steps = chain
-    assert submaj.relations._mixed(steps, [1.0] * n) == [1.0] * n
-    assert submaj.relations._mixed(steps[::-1], [1.0] * n) == [1.0] * n
+    assert submaj.relations._mixed(steps, [0.0] + [1.0] * n) == [0.0] + [1.0] * n
+    assert submaj.relations._mixed(steps[::-1], [0.0] + [1.0] * n) == [0.0] + [1.0] * n
 
 
 def test_ones_pass_through_every_edge_t_exactly():
     for t in _EDGE_T:
-        assert submaj.relations._mixed([(1, 2, t)], [1.0, 1.0]) == [1.0, 1.0], t
+        assert submaj.relations._mixed([(1, 2, t)], [0.0, 1.0, 1.0]) == [0.0, 1.0, 1.0], t
 
 
 def _chain_witnesses(f, g):
