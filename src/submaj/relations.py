@@ -26,8 +26,9 @@ total, bitwise the sums of one whole-vector ``cumsum``, and stops at the
 first block that fails; whole-vector partial sums are built only for the
 weak witness.
 The chain itself picks each step from index sets it keeps up to date (j,
-the last position with y - x > eps, and the sorted positions with y < x),
-O(n log n + steps) in all rather than O(n) per step.
+the last position with y - x > eps, on a stack, and the positions with
+y < x, split at j into a buffer gap), so after the sorts it costs amortised
+O(n + steps) in all rather than O(n) per step.
 
 Every witness (W, D1, the majorization witness, ``hlp_witness().product``)
 is a :class:`_ChainMatrix`, held as its chain: the steps, the two sort
@@ -41,10 +42,12 @@ t < 1/2, fl(1 - t) = 1 - t + e with |e| <= 2^-54, and 1 + e rounds to 1
 (the tie at e = -2^-54 goes to the even neighbour, 1).  So D1 takes ones
 without running the chain, and W takes s as its row sums and s pulled back
 as its column sums: a weak witness costs one pass through the chain, not
-three.  :func:`~submaj.matrices.apply` pushes a vector through the steps
-the same way, and ``entry(i, j)`` pushes the unit vector e_j.  A verdict
-with its witness therefore costs O(n log n + steps) time and O(n + steps)
-memory.
+three, and W makes that pass only when its column sums are first read or
+its class needs them (see :class:`_ChainMatrix`).
+:func:`~submaj.matrices.apply` pushes a vector through the steps the same
+way, and ``entry(i, j)`` pushes the unit vector e_j.  A verdict with its
+witness therefore costs the sorts plus amortised O(n + steps) time, and
+O(n + steps) memory.
 
 The n x n arrays are built only when ``data`` is first read, and then kept.
 D1's is written once, in original coordinates, by mixing rows of a
@@ -503,10 +506,10 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
     y[k] < x[k]; mixing (j, k) by t = delta / (y[j] - y[k]) with
     delta = min(y[j]-x[j], x[k]-y[k]) moves y closer while pinning at least
     one more coordinate exactly.  Each step changes y only at j and k, so the
-    chain updates j and the set {y < x} instead of rescanning them:
-    O(n log n + steps) in all.  The product is held as the chain; its dense
-    array, in original coordinates through both rearrangement permutations,
-    is written on the first read of ``product.data``.
+    chain updates j and the set {y < x} instead of rescanning them: the sorts
+    plus amortised O(n + steps) in all.  The product is held as the chain;
+    its dense array, in original coordinates through both rearrangement
+    permutations, is written on the first read of ``product.data``.
     """
     sf, sg = _require(f, g, tol, equal_totals=True)
     steps = _hlp_chain(sf, sg, tol)
@@ -586,7 +589,9 @@ def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[int, int, fl
             above.pop()
             if dj < 0:
                 hi.append(j)
-        j = above[-1] if above else -1
+        if not above:
+            break
+        j = above[-1]
         while lo and lo[-1] > j:
             hi.append(lo.pop())
     return tuple(steps)

@@ -873,6 +873,132 @@ def test_chain_on_a_pair_that_is_not_majorized_stalls_like_the_scan_loop(x, y):
     assert repr(err.value) == _chain_outcome(_scan_hlp_chain, sf, sg)
 
 
+# The two pairs that stall the chain, as (x, y) of the chain.
+_STALLING = (([2.0, 1.0, 0.0], [1.5, 1.5, 0.0]), ([2.0, 0.5], [1.5, 0.5 + 5e-10]))
+
+
+def _weak_witness_chain_pairs():
+    """(label, sf, sg) for the chain as the weak witness runs it, h raised
+    from f by ``_raised`` against g: perfbench weak pairs as drawn, off the
+    grid (f times uniform factors) and scaled by 2^40 and 2^-40, and the two
+    stalling pairs, raised and as they are."""
+    from perfbench import inputs
+
+    rng = np.random.default_rng(211)
+    out = []
+    for n in (50, 300, 1000):
+        f, g = inputs.weak_pair(rng, n)
+        variants = {"drawn": (f, g), "off-grid": (f * rng.uniform(0.5, 1.0, n), g)}
+        for e in (40, -40):
+            variants[f"scaled 2^{e}"] = (f * 2.0**e, g * 2.0**e)
+        for name, (a, b) in variants.items():
+            sf, sg = submaj.relations._Sorted(a), submaj.relations._Sorted(b)
+            out.append((f"{name} n={n}", submaj.relations._Sorted(submaj.relations._raised(sf, sg)), sg))
+    for x, y in _STALLING:
+        sf, sg = (submaj.relations._Sorted(np.array(v)) for v in (x, y))
+        out += [(f"stalling {x}", sf, sg), (f"stalling {x} raised", submaj.relations._Sorted(submaj.relations._raised(sf, sg)), sg)]
+    return out
+
+
+def test_buffer_gap_chain_matches_the_scan_loop_in_the_weak_witness_form():
+    # The same steps, compared with == on floats, or the same error.
+    stalled = 0
+    for label, sh, sg in _weak_witness_chain_pairs():
+        want = _chain_outcome(_scan_hlp_chain, sh, sg)
+        assert _chain_outcome(submaj.relations._hlp_chain, sh, sg) == want, label
+        stalled += isinstance(want, str)
+    assert stalled >= 2
+
+
+def test_buffer_gap_chain_matches_the_bisect_list_chain_at_n_1e5():
+    # The list-and-bisect loop is the bitwise reference at a size the scan
+    # loop cannot reach; the chain has about 6 * 10^4 steps here.
+    f, g = _perfbench_weak_pair(10**5)
+    sf, sg = submaj.relations._Sorted(f), submaj.relations._Sorted(g)
+    sh = submaj.relations._Sorted(submaj.relations._raised(sf, sg))
+    steps = submaj.relations._hlp_chain(sh, sg, DEFAULT_CLASS_TOL)
+    assert len(steps) > 5 * 10**4
+    assert steps == _bisect_hlp_chain(sh, sg, DEFAULT_CLASS_TOL)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        np.arange(10.0),
+        np.arange(10.0)[np.random.default_rng(212).integers(0, 10, 1000)],
+        np.full(17, 0.375),
+        np.zeros(33),
+        np.array([2.5]),
+        np.random.default_rng(213).integers(0, 10, 10**5) / 1.0,
+        np.random.default_rng(214).uniform(0, 1, 10**5),
+    ],
+    ids=["0..9", "0..9 repeated", "all equal", "all zero", "n=1", "0..9 at n=1e5", "uniform at n=1e5"],
+)
+def test_order_is_the_stable_argsort(raw):
+    order = submaj.relations._Sorted(raw).order
+    assert order.tobytes() == np.argsort(-raw, kind="stable").tobytes()
+
+
+def _scale_decided(w, tol):
+    return tol >= 0 and not np.all(np.abs(w.row_sums - 1) <= tol)
+
+
+def _class_pairs():
+    """Holding weak pairs, among them pairs whose scales all equal 1 (f = g,
+    an exact majorization) or lie within 1e-3 of 1 (f = g but one entry
+    lowered by a relative 1e-6)."""
+    from perfbench import inputs
+
+    rng = np.random.default_rng(215)
+    pairs = [inputs.weak_pair(rng, n) for n in (1, 7, 300)] + [inputs.major_pair(rng, n) for n in (7, 300)]
+    g = inputs.grid_vector(rng, 300)
+    pairs.append((g, g))
+    lowered = g.copy()
+    lowered[int(np.argmax(g))] *= 1 - 1e-6
+    pairs.append((lowered, g))
+    pairs.append((np.zeros(5), inputs.grid_vector(rng, 5)))
+    return [(NonNegVector(f), NonNegVector(g)) for f, g in pairs]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_witness_class_is_the_class_of_its_sums(tol):
+    # The class is read off the scales when some |s_i - 1| exceeds tol, and
+    # from the pulled-back column sums otherwise; either way it is the one
+    # class rule on both sums.  Read later, the column sums are the eager
+    # pull-back of ones, bitwise, and lie in [0, 1].
+    decided = {True: 0, False: 0}
+    for f, g in _class_pairs():
+        verdict = check_submajorize(f, g, tol=tol)
+        assert verdict.holds
+        w = verdict.witness
+        by_scales = _scale_decided(w, tol)
+        decided[by_scales] += 1
+        assert (w._col_sums is None) is by_scales
+        eager = w._rmatvec(np.ones(w.n))
+        assert w.col_sums.tobytes() == eager.tobytes()
+        assert w.col_sums is w.col_sums and not w.col_sums.flags.writeable
+        assert np.all((0.0 <= eager) & (eager <= 1.0))
+        assert w.matrix_class is submaj.matrices._class_of(w.row_sums, eager, tol)
+        d1 = verdict.certificate.completion
+        assert d1.matrix_class is submaj.matrices._class_of(d1.row_sums, d1.col_sums, tol)
+    assert decided[True] and decided[False]
+
+
+def test_submajorize_runs_no_pull_back_when_the_scales_decide_the_class(monkeypatch):
+    pulled = []
+    real = submaj.relations._ChainMatrix._rmatvec
+    monkeypatch.setattr(submaj.relations._ChainMatrix, "_rmatvec", lambda m, x: pulled.append(m) or real(m, x))
+    f, g = (NonNegVector(v) for v in _perfbench_weak_pair(2000))
+    w = check_submajorize(f, g).witness
+    assert w.matrix_class is MatrixClass.DOUBLY_SUBSTOCHASTIC
+    assert pulled == []
+    w.col_sums, w.col_sums
+    assert pulled == [w]
+    same = check_submajorize(g, g).witness  # every scale is 1: the sums decide
+    assert same.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
+    assert pulled == [w, same]
+
+
 def test_submajorize_scans_with_np_nonzero_a_fixed_number_of_times(monkeypatch):
     # The chain scans twice, however many steps it takes; the decision scans
     # its blocks with no np.nonzero.
