@@ -859,22 +859,17 @@ def test_incremental_chain_matches_the_scan_loop_on_long_chains():
         assert steps == _chain_outcome(_scan_hlp_chain, sh, sg)
 
 
-@pytest.mark.parametrize(
-    "x, y",
-    [
-        ([2.0, 1.0, 0.0], [1.5, 1.5, 0.0]),
-        ([2.0, 0.5], [1.5, 0.5 + 5e-10]),  # the only excess is below 10 * tol; the shortfall is not
-    ],
-)
+# The two pairs that stall the chain, as its (x, y).  In the second the only
+# excess is below 10 * tol; the shortfall is not.
+_STALLING = (([2.0, 1.0, 0.0], [1.5, 1.5, 0.0]), ([2.0, 0.5], [1.5, 0.5 + 5e-10]))
+
+
+@pytest.mark.parametrize("x, y", _STALLING)
 def test_chain_on_a_pair_that_is_not_majorized_stalls_like_the_scan_loop(x, y):
     sf, sg = (submaj.relations._Sorted(np.array(v)) for v in (x, y))
     with pytest.raises(RuntimeError, match="stalled; input not majorized") as err:
         submaj.relations._hlp_chain(sf, sg, DEFAULT_CLASS_TOL)
     assert repr(err.value) == _chain_outcome(_scan_hlp_chain, sf, sg)
-
-
-# The two pairs that stall the chain, as (x, y) of the chain.
-_STALLING = (([2.0, 1.0, 0.0], [1.5, 1.5, 0.0]), ([2.0, 0.5], [1.5, 0.5 + 5e-10]))
 
 
 def _weak_witness_chain_pairs():
@@ -896,7 +891,8 @@ def _weak_witness_chain_pairs():
             out.append((f"{name} n={n}", submaj.relations._Sorted(submaj.relations._raised(sf, sg)), sg))
     for x, y in _STALLING:
         sf, sg = (submaj.relations._Sorted(np.array(v)) for v in (x, y))
-        out += [(f"stalling {x}", sf, sg), (f"stalling {x} raised", submaj.relations._Sorted(submaj.relations._raised(sf, sg)), sg)]
+        sh = submaj.relations._Sorted(submaj.relations._raised(sf, sg))
+        out += [(f"stalling {x}", sf, sg), (f"stalling {x} raised", sh, sg)]
     return out
 
 
@@ -939,10 +935,6 @@ def test_order_is_the_stable_argsort(raw):
     assert order.tobytes() == np.argsort(-raw, kind="stable").tobytes()
 
 
-def _scale_decided(w, tol):
-    return tol >= 0 and not np.all(np.abs(w.row_sums - 1) <= tol)
-
-
 def _class_pairs():
     """Holding weak pairs, among them pairs whose scales all equal 1 (f = g,
     an exact majorization) or lie within 1e-3 of 1 (f = g but one entry
@@ -971,7 +963,7 @@ def test_witness_class_is_the_class_of_its_sums(tol):
         verdict = check_submajorize(f, g, tol=tol)
         assert verdict.holds
         w = verdict.witness
-        by_scales = _scale_decided(w, tol)
+        by_scales = not np.all(np.abs(w.row_sums - 1) <= tol)
         decided[by_scales] += 1
         assert (w._col_sums is None) is by_scales
         eager = w._rmatvec(np.ones(w.n))
