@@ -9,9 +9,12 @@ standard library and numpy.  For each n it draws the perfbench weak pair
 ``--repeats`` calls and of as many as fit in 0.25 s:
 
 * ``sort``: the two values-only sorts (``_Sorted``);
-* ``decide``: the whole decision (``_decide``: both sorts and the scan);
-* ``raised``: the intermediate h (``_raised``, with its partial sums);
-* ``orders``: the three stable orders (of f, of h and of g);
+* ``decide``: the whole decision as a witness-building call runs it
+  (``_decide`` with ``keep_sums``: both sorts and the scan, which keeps
+  the whole-vector partial sums);
+* ``raised``: the intermediate h (``_raised``, on the decision's sums);
+* ``orders``: the two stable orders (of f and of g);
+* ``h_record``: h's sorted record, derived from f's (``_raised_record``);
 * ``chain``: the T-transform chain for h against g (``_hlp_chain``);
 * ``chain_matrix``: W and D1 from the chain (``_ChainMatrix``);
 * ``apply``: W applied to g, which runs the chain;
@@ -19,7 +22,8 @@ standard library and numpy.  For each n it draws the perfbench weak pair
 
 and, in a separate run, the tracemalloc peak of ``check_submajorize``.
 Stages that read a cached result (an order, the partial sums) run on fresh
-sorted records, so each repeat pays for its own.  The last line of standard
+sorted records, so each repeat pays for its own; ``raised`` and ``h_record``
+are given f's order and the sums already made, as the weak witness has them.  The last line of standard
 output is one JSON object: per n the times in ms, the steps, the peak in MB
 and in units of 8n bytes, and per decade the ratio of each time and of the
 peak.
@@ -40,7 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench.inputs import TOL, weak_pair  # noqa: E402
 from submaj import NonNegVector, check_submajorize  # noqa: E402
 from submaj.matrices import apply  # noqa: E402
-from submaj.relations import _ChainMatrix, _decide, _hlp_chain, _raised, _Sorted  # noqa: E402
+from submaj.relations import _ChainMatrix, _decide, _hlp_chain, _raised, _raised_record, _Sorted  # noqa: E402
 
 
 def _best(run, repeats, prepare=lambda: ()):
@@ -59,26 +63,28 @@ def _best(run, repeats, prepare=lambda: ()):
     return 1e3 * best
 
 
-def _sorted_with_order(raw):
-    s = _Sorted(raw)
-    s.order
-    return s
+def _decided(fv, gv):
+    """The two sorted records of a witness-building decision, with f's order read."""
+    sf, sg, _ = _decide(fv, gv, TOL, False, keep_sums=True)
+    sf.order
+    return sf, sg
 
 
 def measure(n: int, repeats: int) -> dict:
     f, g = weak_pair(np.random.default_rng([1, 1]), n)
     fv, gv = NonNegVector(f), NonNegVector(g)
-    sf, sg = _Sorted(f), _Sorted(g)
+    sf, sg = _decided(fv, gv)
     h = _raised(sf, sg)
-    sh = _Sorted(h)
+    sh = _raised_record(h, sf)
     steps = _hlp_chain(sh, sg, TOL)
-    scales = np.where(h > 0, f / np.where(h > 0, h, 1.0), 1.0)
+    scales = np.divide(f, h, out=np.ones(n), where=h > 0)
     w = _ChainMatrix(steps, sh.order, sg.order, TOL, scales)
     ms = {
         "sort": _best(lambda: (_Sorted(f), _Sorted(g)), repeats),
-        "decide": _best(lambda: _decide(fv, gv, TOL, False), repeats),
-        "raised": _best(_raised, repeats, lambda: (_sorted_with_order(f), _Sorted(g))),
-        "orders": _best(lambda *s: [x.order for x in s], repeats, lambda: (_Sorted(f), _Sorted(h), _Sorted(g))),
+        "decide": _best(lambda: _decide(fv, gv, TOL, False, keep_sums=True), repeats),
+        "raised": _best(_raised, repeats, lambda: _decided(fv, gv)),
+        "orders": _best(lambda *s: [x.order for x in s], repeats, lambda: (_Sorted(f), _Sorted(g))),
+        "h_record": _best(lambda sf: _raised_record(h, sf), repeats, lambda: _decided(fv, gv)[:1]),
         "chain": _best(lambda: _hlp_chain(sh, sg, TOL), repeats),
         "chain_matrix": _best(lambda: _ChainMatrix(steps, sh.order, sg.order, TOL, scales), repeats),
         "apply": _best(lambda: apply(w, gv), repeats),

@@ -296,7 +296,9 @@ def _add_global_options(parser: argparse.ArgumentParser, trailing: bool) -> None
     parser.add_argument(
         "--tol",
         type=float,
-        default=s if trailing else float(os.environ.get("MAJ_TOL", DEFAULT_CLASS_TOL)),
+        # argparse runs type on a string default, so a malformed MAJ_TOL is
+        # a usage error (exit 2), not a traceback from building the parser.
+        default=s if trailing else os.environ.get("MAJ_TOL", DEFAULT_CLASS_TOL),
         help="class/membership tolerance (env MAJ_TOL overrides the default)",
     )
     parser.add_argument("--exact-tol", type=float, default=s if trailing else DEFAULT_EXACT_TOL,

@@ -17,14 +17,17 @@ n-1 two-coordinate mixing steps (T-transforms) built by the classical
 Hardy-Littlewood-Polya argument, row-scaled when totals differ: the weak
 witness is W = diag(s) D1 with 0 <= s <= 1 and D1 doubly stochastic.  D1
 dominates W entrywise, so D1 is the submajorization certificate, and its
-``steps`` is empty (no greedy completion runs).  Each call sorts every
-vector once and decides once.  A decision sorts values only; the stable
+``steps`` is empty (no greedy completion runs).  Each call sorts f and g
+once each and decides once.  A decision sorts values only; the stable
 tie-broken order is computed only when a witness, h or a permutation is
 built, and the witness is built from that same sorted data.  The decision
 scans the two sorted copies in cache-sized blocks with a carried running
 total, bitwise the sums of one whole-vector ``cumsum``, and stops at the
-first block that fails; whole-vector partial sums are built only for the
-weak witness.
+first block that fails.  A decision that will build a weak witness writes
+its blocks into two n-length arrays and keeps them as the partial sums h is
+raised from; h's sorted values and order are then read off f's, since h
+along f's sorted order is non-increasing, and h is sorted anew only when
+rounding breaks that order.
 The chain itself picks each step from index sets it keeps up to date (j,
 the last position with y - x > eps, on a stack, and the positions with
 y < x, split at j into a buffer gap), so after the sorts it costs amortised
@@ -309,12 +312,15 @@ class _Sorted:
     ``order``, the stable non-increasing order (0-based, ties by ascending
     index), is computed on first use: a decision needs only the values, and
     only code that un-sorts (a witness, h, a permutation) reads the order.
-    ``raw[order]`` equals ``values`` bitwise for any ``raw`` without -0.0,
-    which a NonNegVector never stores.  ``sums``, the partial sums of
-    ``values``, are built on first use too: only the weak witness's
-    :func:`_raised` reads them, since :func:`_decide` scans blocks and makes
-    no n-length sums.  Both are kept in the instance's dict on first use, so
-    later reads never reach ``__getattr__``.
+    It is numpy's default (SIMD) argsort of -raw with the tie runs of
+    ``values`` put in index order (:func:`_ties_by_index`).  ``raw[order]``
+    equals ``values`` bitwise for any ``raw`` without -0.0, which a
+    NonNegVector never stores.  ``sums``, the partial sums of ``values``,
+    are kept by a decision that will build a weak witness (:func:`_decide`
+    with ``keep_sums``), for :func:`_raised`; otherwise they are built on
+    first use.  Both are kept in the instance's dict, so later reads never
+    reach ``__getattr__``.  The weak witness makes h's record from f's
+    (:func:`_raised_record`), with no sort of h.
     """
 
     def __init__(self, raw: np.ndarray) -> None:
@@ -325,33 +331,33 @@ class _Sorted:
         if name == "sums":
             value = np.cumsum(self.values)
         elif name == "order":
-            value = _stable_order(self.raw)
+            value = _ties_by_index(np.argsort(-self.raw), self.values)
         else:
             raise AttributeError(name)
         vars(self)[name] = value
         return value
 
 
-def _stable_order(raw: np.ndarray) -> np.ndarray:
-    """``np.argsort(-raw, kind="stable")``, bitwise, from numpy's default
-    (SIMD) argsort.  The two orders differ only inside runs of equal values,
-    where the stable one lists indices ascending; so the positions in such
-    runs get the keys run * n + index, one integer sort puts every run's
-    indices in ascending order back into its own positions, and the key mod
-    n is the index."""
-    neg = -raw
-    order = np.argsort(neg)
-    values = neg[order]
+def _ties_by_index(order: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``order``, a permutation that sorts a vector into ``values``, with
+    each run of equal ``values`` listing its indices ascending, in place:
+    the stable order, bitwise.  The positions in such runs get the keys
+    run * n + index, one integer sort puts every run's indices in ascending
+    order back into its own positions, and the key mod n is the index.  The
+    runs are counted over those positions alone: a run starts at each one
+    not tied to the position before it."""
     tie = values[1:] == values[:-1]
     if tie.any():
-        n = raw.size
-        run = np.zeros(n, dtype=np.int64)
-        np.cumsum(~tie, out=run[1:])
+        n = order.size
         member = np.zeros(n, dtype=bool)
         member[1:] = tie
         member[:-1] |= tie
         at = np.flatnonzero(member)
-        keys = run[at] * n + order[at]
+        # At at[0] = 0 this reads tie[-1], which adds n to every key or to
+        # none, and so changes neither their order nor their residues.
+        keys = np.cumsum(~tie[at - 1], dtype=np.int64)
+        keys *= n
+        keys += order[at]
         keys.sort()
         order[at] = keys % n
     return order
@@ -387,7 +393,7 @@ def _block_sums(values: np.ndarray, start: int, carry, out: np.ndarray) -> None:
 
 
 def _decide(
-    f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool
+    f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool, keep_sums: bool = False
 ) -> tuple[_Sorted, _Sorted, Optional[RelationVerdict]]:
     """Sort the zero-padded f and g once and test sorted-partial-sum dominance.
 
@@ -401,16 +407,23 @@ def _decide(
     ``failed_index`` and message, is bitwise what one ``cumsum`` over the
     whole vector gives.  The scan stops at the first block that holds a
     failing position, so a pair that fails early pays little more than its
-    two sorts.
+    two sorts.  ``keep_sums``, for a caller that will build a weak witness,
+    writes the blocks into two n-length arrays instead and, when the
+    relation holds, keeps them as both records' ``sums``.
     """
     f2, g2 = common_dim(f, g)
     sf, sg = _Sorted(f2.values), _Sorted(g2.values)
     n = f2.dim
     size = min(n, _BLOCK)
-    pf, pg, bound = np.empty(size), np.empty(size), np.empty(size)
-    above = np.empty(size, dtype=bool)
+    if keep_sums:
+        sums_f, sums_g = np.empty(n), np.empty(n)
+    else:
+        pf, pg = np.empty(size), np.empty(size)
+    bound, above = np.empty(size), np.empty(size, dtype=bool)
     carry_f = carry_g = None
     for start in range(0, n, size):
+        if keep_sums:
+            pf, pg = sums_f[start : start + size], sums_g[start : start + size]
         if n - start < size:  # the last block is shorter
             pf, pg, bound, above = pf[: n - start], pg[: n - start], bound[: n - start], above[: n - start]
         _block_sums(sf.values, start, carry_f, pf)
@@ -425,12 +438,16 @@ def _decide(
     if equal_totals and abs(carry_f - carry_g) > tol:
         message = f"totals differ at position {n}: {carry_f:.12g} vs {carry_g:.12g}"
         return sf, sg, RelationVerdict(holds=False, failed_index=n, message=message)
+    if keep_sums:
+        vars(sf)["sums"], vars(sg)["sums"] = sums_f, sums_g
     return sf, sg, None
 
 
-def _require(f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool) -> tuple[_Sorted, _Sorted]:
+def _require(
+    f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool, keep_sums: bool = False
+) -> tuple[_Sorted, _Sorted]:
     """:func:`_decide` for the witness constructors: raise their precondition error on failure."""
-    sf, sg, failed = _decide(f, g, tol, equal_totals)
+    sf, sg, failed = _decide(f, g, tol, equal_totals, keep_sums)
     if failed is not None:
         relation = "majorization" if equal_totals else "weak majorization"
         raise ValueError(f"{relation} precondition fails: {failed.message}")
@@ -458,7 +475,7 @@ def check_weak_majorize(
     with_witness: bool = True,
 ) -> RelationVerdict:
     """Decide f weakly majorized by g; certify with a doubly substochastic witness."""
-    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
+    sf, sg, failed = _decide(f, g, tol, equal_totals=False, keep_sums=with_witness)
     if failed is not None:
         return failed
     witness = _weak_factors(sf, sg, tol)[0] if with_witness else None
@@ -486,7 +503,7 @@ def check_submajorize(
     n x n arrays are built on the first read of ``data`` (D1's once for
     both) and then kept; at large n that read allocates n^2 floats.
     """
-    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
+    sf, sg, failed = _decide(f, g, tol, equal_totals=False, keep_sums=with_witness)
     if failed is not None:
         return failed
     message = "submajorization holds (finite collapse to the weak relation)"
@@ -525,73 +542,85 @@ def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[int, int, fl
     """The steps of :func:`hlp_witness`, on sorted coordinates, as plain
     (i, j, t) tuples, in amortised O(n + steps) after the sorts.
 
-    d = y - x is computed once.  A step changes y only at j and k, and only
-    d[j] and d[k] are recomputed, with the same expression, so d stays
-    bitwise what a full recomputation would give; the coordinate a step pins
-    gets d = 0.0, which is what x[j] - x[j] gives, and its y, never read
-    again, is not written.
+    x, y and d = y - x are lists with a placeholder at index 0, so the
+    1-based step coordinates index them directly.  d is computed once.  A
+    step changes y only at j and k, and only d[j] and d[k] are recomputed,
+    with the same expression, so d stays bitwise what a full recomputation
+    would give; the coordinate a step pins gets d = 0.0, which is what
+    x[j] - x[j] gives, and its y, never read again, is not written.  j's d
+    and y are held in locals while j stays, and written back when j leaves
+    or before the stall check reads d.
 
     ``above`` is a stack of the positions at most j with d > eps, j on top:
     the steps touch no position below j, and a position rises above eps only
     as k, which then replaces j, pinned, on top.  The positions with d < 0
     form a buffer gap at j: ``lo`` holds those below j in ascending order,
-    ``hi`` those past j in descending order, above the sentinel n that stops
-    the search, so k is ``hi[-1]``.  A j that rounding leaves short goes on
-    ``hi``, as j moves below it.  Every delete, insert and move of j is then
-    a pop or an append: j moves up only to k, past no short position, and
-    moves down past each entry of ``lo``, which only shrinks, at most once.
+    ``hi`` those past j in descending order, above the sentinel n + 1 that
+    stops the search, so k is ``hi[-1]``.  A j that rounding leaves short
+    goes on ``hi``, as j moves below it.  Every delete, insert and move of j
+    is then a pop or an append: j moves up only to k, past no short
+    position, and moves down past each entry of ``lo``, which only shrinks,
+    at most once.
     """
-    x = sf.values.tolist()
-    y = sg.values.tolist()
-    n = len(x)
-    scale = max(1.0, float(sg.values.max(initial=0.0)))
+    n = sf.values.size
+    xs, ys = np.empty(n + 1), np.empty(n + 1)
+    xs[0] = ys[0] = 0.0
+    xs[1:], ys[1:] = sf.values, sg.values
+    scale = max(1.0, float(ys[1]))  # the largest of g, as n >= 1
     eps = 1e-12 * scale
 
-    diff = sg.values - sf.values
-    d = diff.tolist()
-    above = np.nonzero(diff > eps)[0].tolist()
-    short = np.nonzero(diff < 0)[0]
-    j = above[-1] if above else -1
+    diff = ys - xs
+    x, y, d = xs.tolist(), ys.tolist(), diff.tolist()
+    above = np.flatnonzero(diff > eps).tolist()
+    if not above:
+        return ()
+    short = np.flatnonzero(diff < 0)
+    j = above[-1]
     cut = int(short.searchsorted(j))
     lo = short[:cut].tolist()
-    hi = [n]
+    hi = [n + 1]
     hi += short[cut:][::-1].tolist()
     steps = []
     step = steps.append
-    while above:
+    dj, yj = d[j], y[j]
+    while True:
         k = hi[-1]
-        if k == n:
+        if k > n:
+            d[j] = dj
             if max(map(abs, d)) > 10 * max(tol, eps):
                 raise RuntimeError("T-transform construction stalled; input not majorized")
             break
-        dj, dk, yj, yk = d[j], d[k], y[j], y[k]
+        dk, yk = d[k], y[k]
         # delta = min(d[j], -d[k]); t = delta / (y[j] - y[k]) lies in (0, 1]:
         # y[k] < x[k] <= x[j], so y[j] - y[k] >= d[j] >= delta > 0.
         if dj <= -dk:
-            step((j + 1, k + 1, dj / (yj - yk)))
-            y[k] = yk = yk + dj
+            step((j, k, dj / (yj - yk)))
+            yk += dj
+            dk = yk - x[k]
             d[j] = 0.0  # pinned: y[j] = x[j]
-            d[k] = dk = yk - x[k]
             if dk >= 0:
                 hi.pop()
                 if dk > eps:  # every position past j was at most eps and is unchanged
                     above[-1] = j = k
+                    dj, yj = dk, yk
                     continue
-            above.pop()
+            y[k], d[k] = yk, dk
         else:
-            step((j + 1, k + 1, -dk / (yj - yk)))
+            step((j, k, -dk / (yj - yk)))
             hi.pop()
-            y[j] = yj = yj + dk
-            d[j] = dj = yj - x[j]
+            yj += dk
+            dj = yj - x[j]
             d[k] = 0.0  # pinned: y[k] = x[k]
             if dj > eps:
                 continue
-            above.pop()
+            y[j], d[j] = yj, dj
             if dj < 0:
                 hi.append(j)
+        above.pop()
         if not above:
             break
         j = above[-1]
+        dj, yj = d[j], y[j]
         while lo and lo[-1] > j:
             hi.append(lo.pop())
     return tuple(steps)
@@ -604,7 +633,7 @@ def intermediate_h(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_
     capping each raise by the remaining sorted-partial-sum headroom of g, so
     dominance is preserved at every prefix and the result is deterministic.
     """
-    return NonNegVector(_raised(*_require(f, g, tol, equal_totals=False)))
+    return NonNegVector(_raised(*_require(f, g, tol, equal_totals=False, keep_sums=True)))
 
 
 def _raised(sf: _Sorted, sg: _Sorted) -> np.ndarray:
@@ -623,6 +652,25 @@ def _raised(sf: _Sorted, sg: _Sorted) -> np.ndarray:
     return h
 
 
+def _raised_record(h: np.ndarray, sf: _Sorted) -> _Sorted:
+    """h's sorted record, derived from f's with no sort of h when it can be.
+
+    In exact arithmetic h along f's sorted order is non-increasing: a raise
+    at sorted position k + 1 needs a tight prefix at k, so, in sorted
+    coordinates, h_{k+1} <= g_{k+1} <= g_k <= h_k.  When the floats keep
+    that order (one O(n) test), h gathered by f's order is h's sorted
+    values, and h's stable order is f's with each run of equal values put
+    in index order.  When rounding breaks it (an inversion of a few ulps),
+    h is sorted anew.
+    """
+    values = h[sf.order]
+    if not np.all(values[1:] <= values[:-1]):
+        return _Sorted(h)
+    sh = _Sorted.__new__(_Sorted)
+    vars(sh).update(raw=h, values=values, order=_ties_by_index(sf.order.copy(), values))
+    return sh
+
+
 def weak_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL) -> StochMatrix:
     """Doubly substochastic witness for a weak majorization.
 
@@ -631,7 +679,7 @@ def weak_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TO
     already reproduce f(i) = 0 and keep scale 1).  The all-zero f gets the
     zero matrix directly.
     """
-    return _weak_factors(*_require(f, g, tol, equal_totals=False), tol)[0]
+    return _weak_factors(*_require(f, g, tol, equal_totals=False, keep_sums=True), tol)[0]
 
 
 def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, StochMatrix]:
@@ -645,11 +693,11 @@ def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, St
     W's from it.
     """
     f = sf.raw
-    if np.any(f > 0):
+    if sf.values[0] > 0:
         h = _raised(sf, sg)
-        sh = _Sorted(h)
+        sh = _raised_record(h, sf)
         steps, rows = _hlp_chain(sh, sg, tol), sh.order
-        scales = np.where(h > 0, f / np.where(h > 0, h, 1.0), 1.0)  # _raised only adds to f
+        scales = np.divide(f, h, out=np.ones(f.size), where=h > 0)  # _raised only adds to f
     else:
         steps, rows = (), sg.order
         scales = np.zeros(f.size)

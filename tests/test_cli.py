@@ -297,6 +297,19 @@ def test_maj_tol_env_override(files, monkeypatch, capsys):
     assert main(["check", "--relation", "majorize", f, g]) == 0
 
 
+def test_malformed_maj_tol_is_a_usage_error(files, monkeypatch, capsys):
+    # Exit 2 with argparse's message, not a traceback read as "fails" (1);
+    # an explicit --tol, before or after the subcommand, still wins.
+    write, _ = files
+    f = write("f.json", {"dim": 2, "values": [1.0, 0.0]})
+    g = write("g.json", {"dim": 2, "values": [2.0, 0.0]})
+    monkeypatch.setenv("MAJ_TOL", "abc")
+    assert main(["check", "--relation", "sub", f, g]) == 2
+    assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
+    assert main(["--tol", "1e-9", "check", "--relation", "sub", f, g]) == 0
+    assert main(["check", "--relation", "sub", f, g, "--tol", "1e-9"]) == 0
+
+
 def _spy_on_battery(monkeypatch, results):
     """Replace the battery behind ``selftest`` with ``results``; return its calls."""
     calls = []

@@ -473,9 +473,45 @@ class TestBlockedScan:
             made.clear()
             run()
             assert len(made) == 2 and all("sums" not in vars(s) for s in made)
+        for check in (check_weak_majorize, check_submajorize):
+            made.clear()
+            check(f, g, with_witness=False)
+            assert len(made) == 2 and all("sums" not in vars(s) for s in made)
+        # A witness-building decision keeps both sums for _raised, and h's
+        # record comes from f's: two records made through __init__, unless
+        # rounding breaks f's order and h is sorted too.
+        for run in (
+            lambda: check_weak_majorize(f, g),
+            lambda: check_submajorize(f, g),
+            lambda: weak_witness(f, g),
+            lambda: intermediate_h(f, g),
+        ):
+            made.clear()
+            run()
+            assert len(made) == 2 and all("sums" in vars(s) for s in made)
+        fallback = [NonNegVector(v) for v in _fallback_pair()]
         made.clear()
-        check_weak_majorize(f, g)  # the weak witness's _raised reads both
-        assert all("sums" in vars(s) for s in made[:2])
+        check_submajorize(*fallback)
+        assert len(made) == 3 and all("sums" in vars(s) for s in made[:2])
+        assert np.array_equal(made[2].raw, intermediate_h(*fallback).values)
+
+    @pytest.mark.parametrize("n", [16383, 16384, 16385, 2 * 16384 + 1])
+    def test_a_witness_building_decision_keeps_the_whole_vector_sums(self, n):
+        # The blocks are written into the kept arrays, so each sum is
+        # bitwise what one cumsum gives; a failing decision keeps none.
+        assert submaj.relations._BLOCK == 16384
+        rng = np.random.default_rng(n)
+        g = rng.uniform(0, 1, n)
+        f = NonNegVector(0.9 * g[rng.permutation(n)])
+        g = NonNegVector(g)
+        sf, sg, failed = submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals=False, keep_sums=True)
+        assert failed is None
+        for s in (sf, sg):
+            assert vars(s)["sums"].tobytes() == np.cumsum(s.values).tobytes()
+        sf, sg, failed = submaj.relations._decide(g, f, DEFAULT_CLASS_TOL, equal_totals=False, keep_sums=True)
+        assert failed is not None and "sums" not in vars(sf) and "sums" not in vars(sg)
+        sf, sg, failed = submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals=False)
+        assert failed is None and "sums" not in vars(sf) and "sums" not in vars(sg)
 
 
 class TestCheckWeakMajorize:
@@ -872,11 +908,9 @@ def test_chain_on_a_pair_that_is_not_majorized_stalls_like_the_scan_loop(x, y):
     assert repr(err.value) == _chain_outcome(_scan_hlp_chain, sf, sg)
 
 
-def _weak_witness_chain_pairs():
-    """(label, sf, sg) for the chain as the weak witness runs it, h raised
-    from f by ``_raised`` against g: perfbench weak pairs as drawn, off the
-    grid (f times uniform factors) and scaled by 2^40 and 2^-40, and the two
-    stalling pairs, raised and as they are."""
+def _weak_witness_pairs():
+    """(label, f, g) as arrays: perfbench weak pairs as drawn, off the grid
+    (f times uniform factors) and scaled by 2^40 and 2^-40."""
     from perfbench import inputs
 
     rng = np.random.default_rng(211)
@@ -886,14 +920,67 @@ def _weak_witness_chain_pairs():
         variants = {"drawn": (f, g), "off-grid": (f * rng.uniform(0.5, 1.0, n), g)}
         for e in (40, -40):
             variants[f"scaled 2^{e}"] = (f * 2.0**e, g * 2.0**e)
-        for name, (a, b) in variants.items():
-            sf, sg = submaj.relations._Sorted(a), submaj.relations._Sorted(b)
-            out.append((f"{name} n={n}", submaj.relations._Sorted(submaj.relations._raised(sf, sg)), sg))
+        out += [(f"{name} n={n}", a, b) for name, (a, b) in variants.items()]
+    return out
+
+
+def _weak_witness_chain_pairs():
+    """(label, sf, sg) for the chain as the weak witness runs it, h raised
+    from f by ``_raised`` against g, on the pairs of ``_weak_witness_pairs``,
+    and the two stalling pairs, raised and as they are."""
+    out = []
+    for label, f, g in _weak_witness_pairs():
+        sf, sg = submaj.relations._Sorted(f), submaj.relations._Sorted(g)
+        out.append((label, submaj.relations._Sorted(submaj.relations._raised(sf, sg)), sg))
     for x, y in _STALLING:
         sf, sg = (submaj.relations._Sorted(np.array(v)) for v in (x, y))
         sh = submaj.relations._Sorted(submaj.relations._raised(sf, sg))
         out += [(f"stalling {x}", sf, sg), (f"stalling {x} raised", sh, sg)]
     return out
+
+
+def _fallback_pair():
+    """An off-grid perfbench weak pair at n = 250 whose raised h leaves f's
+    sorted order: rounding puts one value of h a few ulps above the one
+    before it along f's order."""
+    from perfbench import inputs
+
+    rng = np.random.default_rng(61)
+    f, g = inputs.weak_pair(rng, 250)
+    return f * rng.uniform(0.5, 1.0, 250), g
+
+
+def _assert_raised_record_is_the_sort_of_h(f, g):
+    """h's record from f's equals a fresh sort of h, bitwise, in values and
+    in order; returns whether h kept f's order, so that the record was
+    derived rather than sorted."""
+    sf, sg = submaj.relations._Sorted(f), submaj.relations._Sorted(g)
+    h = submaj.relations._raised(sf, sg)
+    got, want = submaj.relations._raised_record(h, sf), submaj.relations._Sorted(h)
+    assert got.raw is h
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.order.tobytes() == want.order.tobytes()
+    assert got.order.tobytes() == np.argsort(-h, kind="stable").tobytes()
+    along = h[np.argsort(-f, kind="stable")]
+    return bool(np.all(along[1:] <= along[:-1]))
+
+
+def test_raised_record_is_the_sort_of_h_on_both_branches():
+    pairs = _weak_witness_pairs()
+    pairs += [(f"stalling {x}", np.array(x), np.array(y)) for x, y in _STALLING]
+    pairs.append(("off-grid fallback n=250", *_fallback_pair()))
+    derived = {label: _assert_raised_record_is_the_sort_of_h(f, g) for label, f, g in pairs}
+    assert derived.pop("off-grid fallback n=250") is False
+    assert all(derived.values())  # every other pair keeps f's order
+
+
+@settings(max_examples=300, deadline=None)
+@given(_holding_weak_pairs())
+def test_raised_record_is_the_sort_of_h_with_ties_zeros_and_ulp_moves(pair):
+    f, g = pair
+    n = max(f.dim, g.dim)
+    assume(check_weak_majorize(f, g, with_witness=False).holds)
+    _assert_raised_record_is_the_sort_of_h(f.padded(n).values, g.padded(n).values)
 
 
 def test_buffer_gap_chain_matches_the_scan_loop_in_the_weak_witness_form():
@@ -927,8 +1014,13 @@ def test_buffer_gap_chain_matches_the_bisect_list_chain_at_n_1e5():
         np.array([2.5]),
         np.random.default_rng(213).integers(0, 10, 10**5) / 1.0,
         np.random.default_rng(214).uniform(0, 1, 10**5),
+        np.array([1.0, 0.0, 3.0, 1.0, 2.0, 3.0]),
+        np.array([0.0, 3.0, 4.0, 0.0, 3.0]),
     ],
-    ids=["0..9", "0..9 repeated", "all equal", "all zero", "n=1", "0..9 at n=1e5", "uniform at n=1e5"],
+    ids=[
+        "0..9", "0..9 repeated", "all equal", "all zero", "n=1", "0..9 at n=1e5", "uniform at n=1e5",
+        "tied first, untied last", "untied first, tied last",
+    ],
 )
 def test_order_is_the_stable_argsort(raw):
     order = submaj.relations._Sorted(raw).order
