@@ -132,10 +132,10 @@ def _class_of(row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> MatrixC
     a finite nonnegative matrix allow.  :func:`_classify` passes the two sums
     it computes once from the screened entries, the witnesses of
     :mod:`submaj.relations` the sums that their T-transform chain gives."""
-    if np.all(np.abs(row_sums - 1) <= tol) and np.all(np.abs(col_sums - 1) <= tol):
+    if (np.abs(row_sums - 1) <= tol).all() and (np.abs(col_sums - 1) <= tol).all():
         return MatrixClass.DOUBLY_STOCHASTIC
-    rows_ok = bool(np.all(row_sums <= 1 + tol))
-    cols_ok = bool(np.all(col_sums <= 1 + tol))
+    rows_ok = bool((row_sums <= 1 + tol).all())
+    cols_ok = bool((col_sums <= 1 + tol).all())
     if rows_ok and cols_ok:
         return MatrixClass.DOUBLY_SUBSTOCHASTIC
     if rows_ok:

@@ -240,7 +240,7 @@ class _ChainMatrix(StochMatrix):
             row_sums = scales * factor.row_sums
             row_sums.flags.writeable = False
             vars(self).update(row_sums=row_sums, _col_sums=None)
-            if tol >= 0 and not np.all(np.abs(row_sums - 1) <= tol):
+            if tol >= 0 and not (np.abs(row_sums - 1) <= tol).all():
                 cls = MatrixClass.DOUBLY_SUBSTOCHASTIC  # every column sum lies in [0, 1]
             else:
                 cls = _class_of(row_sums, self.col_sums, tol)
@@ -325,7 +325,9 @@ class _Sorted:
 
     def __init__(self, raw: np.ndarray) -> None:
         self.raw = raw
-        self.values = np.sort(raw)[::-1]
+        values = raw.copy()
+        values.sort()
+        self.values = values[::-1]
 
     def __getattr__(self, name: str) -> np.ndarray:
         if name == "sums":
@@ -352,7 +354,7 @@ def _ties_by_index(order: np.ndarray, values: np.ndarray) -> np.ndarray:
         member = np.zeros(n, dtype=bool)
         member[1:] = tie
         member[:-1] |= tie
-        at = np.flatnonzero(member)
+        at = member.nonzero()[0]
         # At at[0] = 0 this reads tie[-1], which adds n to every key or to
         # none, and so changes neither their order nor their residues.
         keys = np.cumsum(~tie[at - 1], dtype=np.int64)
@@ -571,10 +573,10 @@ def _hlp_chain(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[tuple[int, int, fl
 
     diff = ys - xs
     x, y, d = xs.tolist(), ys.tolist(), diff.tolist()
-    above = np.flatnonzero(diff > eps).tolist()
+    above = (diff > eps).nonzero()[0].tolist()
     if not above:
         return ()
-    short = np.flatnonzero(diff < 0)
+    short = (diff < 0).nonzero()[0]
     j = above[-1]
     cut = int(short.searchsorted(j))
     lo = short[:cut].tolist()
@@ -664,7 +666,7 @@ def _raised_record(h: np.ndarray, sf: _Sorted) -> _Sorted:
     h is sorted anew.
     """
     values = h[sf.order]
-    if not np.all(values[1:] <= values[:-1]):
+    if not (values[1:] <= values[:-1]).all():
         return _Sorted(h)
     sh = _Sorted.__new__(_Sorted)
     vars(sh).update(raw=h, values=values, order=_ties_by_index(sf.order.copy(), values))
