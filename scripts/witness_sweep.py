@@ -23,10 +23,10 @@ standard library and numpy.  For each n it draws the perfbench weak pair
 and, in a separate run, the tracemalloc peak of ``check_submajorize``.
 Stages that read a cached result (an order, the partial sums) run on fresh
 sorted records, so each repeat pays for its own; ``raised`` and ``h_record``
-are given f's order and the sums already made, as the weak witness has them.  The last line of standard
-output is one JSON object: per n the times in ms, the steps, the peak in MB
-and in units of 8n bytes, and per decade the ratio of each time and of the
-peak.
+are given f's order and the sums already made, as the weak witness has
+them.  The last line of standard output is one JSON object: per n the times
+in ms, the steps, the peak in MB and in units of 8n bytes, and per decade
+the ratio of each time and of the peak.
 """
 import argparse
 import gc

@@ -936,6 +936,11 @@ def _weak_witness_chain_pairs():
         sf, sg = (submaj.relations._Sorted(np.array(v)) for v in (x, y))
         sh = submaj.relations._Sorted(submaj.relations._raised(sf, sg))
         out += [(f"stalling {x}", sf, sg), (f"stalling {x} raised", sh, sg)]
+    # One step leaves j with an excess of about 3e-10, above eps and below
+    # 10 * tol, and no short position: the chain ends without stalling, on
+    # j's excess as the step left it.
+    sf, sg = submaj.relations._Sorted(np.array([1.5, 0.5])), submaj.relations._Sorted(np.array([2.0, 3e-10]))
+    out.append(("small excess left", sf, sg))
     return out
 
 
