@@ -142,7 +142,10 @@ class PreserverSpec:
 
     For p > 1 the operator is a pure weighted sum of injections.  In the
     1-norm mode a constant-row part h may be added, provided h vanishes on
-    every index in the union of the injections' images.
+    every index in the union of the injections' images.  h's support, the
+    0-based indices of its positive entries in ascending order, is found once
+    here and kept as ``_support`` (empty without h) for
+    :func:`build_preserver` and :func:`preservation_rows_needed`.
     """
 
     p: float
@@ -161,15 +164,20 @@ class PreserverSpec:
         check = validate_family(self.family)
         if not check.valid:
             raise ValueError(f"injection images must be pairwise disjoint: {check.collision}")
+        support = np.zeros(0, np.int64)
         if self.constant_row is not None:
             if self.p != 1:
                 raise ValueError("a constant-row part is only allowed when p = 1")
-            support = np.flatnonzero(self.constant_row.values > 0) + 1
-            hits = support[np.isin(support, self.family._targets)]
+            h = self.constant_row.values
+            support = np.flatnonzero(h > 0)
+            # h gathered at the images inside it; the images are pairwise distinct.
+            inside = self.family._targets[self.family._targets <= h.size]
+            hits = inside[h[inside - 1] > 0]
             if hits.size:
                 raise ValueError(
-                    f"constant-row support must avoid all injection images; hits {hits[:3].tolist()}"
+                    f"constant-row support must avoid all injection images; hits {np.sort(hits)[:3].tolist()}"
                 )
+        object.__setattr__(self, "_support", support)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -363,7 +371,7 @@ def build_preserver(spec: PreserverSpec, rows: int, cols: int) -> TruncatedOpera
             cells.append((i[keep], j[keep], np.full(np.count_nonzero(keep), weight)))
     if spec.constant_row is not None:
         h = spec.constant_row.values
-        support = np.flatnonzero(h[:rows] > 0)
+        support = spec._support[: int(spec._support.searchsorted(rows))]
         cells.append((np.repeat(support + 1, j.size), np.tile(j, support.size), np.repeat(h[support], j.size)))
     return TruncatedOperator._from_cells(rows, cols, *_joined(cells))
 
@@ -547,8 +555,7 @@ def preservation_rows_needed(spec: PreserverSpec, cols: int) -> int:
     if cols < 1:
         raise ValueError(f"a preservation window needs at least one column, got {cols} columns")
     top = max((int(member._images[:cols].max()) for member in spec.family.members), default=1)
-    support = spec.constant_row.support() if spec.constant_row is not None else ()
-    return max(top, support[-1]) if support else top
+    return max(top, int(spec._support[-1]) + 1) if spec._support.size else top
 
 
 def empirical_preservation_check(

@@ -17,13 +17,15 @@ n-1 two-coordinate mixing steps (T-transforms) built by the classical
 Hardy-Littlewood-Polya argument, row-scaled when totals differ: the weak
 witness is W = diag(s) D1 with 0 <= s <= 1 and D1 doubly stochastic.  D1
 dominates W entrywise, so D1 is the submajorization certificate, and its
-``steps`` is empty (no greedy completion runs).  Each call sorts f and g
-once each and decides once.  A decision sorts values only; the stable
-tie-broken order is computed only when a witness, h or a permutation is
-built, and the witness is built from that same sorted data.  The decision
-scans the two sorted copies in cache-sized blocks with a carried running
-total, bitwise the sums of one whole-vector ``cumsum``, and stops at the
-first block that fails.  A decision that will build a weak witness writes
+``steps`` is empty (no greedy completion runs).  Each call decides once and
+sorts f and g at most once each: a decision reads the two maxima first, the
+partial sums at position 1, and refutes a pair that fails there with no
+sort; only a pair that passes position 1 is sorted.  A decision sorts
+values only; the stable tie-broken order is computed only when a witness, h
+or a permutation is built, and the witness is built from that same sorted
+data.  The decision scans the two sorted copies in cache-sized blocks with
+a carried running total, bitwise the sums of one whole-vector ``cumsum``,
+and stops at the first block that fails.  A decision that will build a weak witness writes
 its blocks into two n-length arrays and keeps them as the partial sums h is
 raised from; h's sorted values and order are then read off f's, since h
 along f's sorted order is non-increasing, and h is sorted anew only when
@@ -306,9 +308,11 @@ class _ChainMatrix(StochMatrix):
 
 
 class _Sorted:
-    """A vector sorted once: the vector and its non-increasing values, from
-    one values-only sort.
+    """A vector sorted at most once: the vector and, on first read, its
+    non-increasing values, from one values-only sort of a copy.
 
+    ``values`` is built on its first read, so a decision refuted at position
+    1 from the two maxima (:func:`_decide`) makes no sorted copy.
     ``order``, the stable non-increasing order (0-based, ties by ascending
     index), is computed on first use: a decision needs only the values, and
     only code that un-sorts (a witness, h, a permutation) reads the order.
@@ -318,19 +322,20 @@ class _Sorted:
     NonNegVector never stores.  ``sums``, the partial sums of ``values``,
     are kept by a decision that will build a weak witness (:func:`_decide`
     with ``keep_sums``), for :func:`_raised`; otherwise they are built on
-    first use.  Both are kept in the instance's dict, so later reads never
-    reach ``__getattr__``.  The weak witness makes h's record from f's
+    first use.  All three are kept in the instance's dict, so later reads
+    never reach ``__getattr__``.  The weak witness makes h's record from f's
     (:func:`_raised_record`), with no sort of h.
     """
 
     def __init__(self, raw: np.ndarray) -> None:
         self.raw = raw
-        values = raw.copy()
-        values.sort()
-        self.values = values[::-1]
 
     def __getattr__(self, name: str) -> np.ndarray:
-        if name == "sums":
+        if name == "values":
+            value = self.raw.copy()
+            value.sort()
+            value = value[::-1]
+        elif name == "sums":
             value = np.cumsum(self.values)
         elif name == "order":
             value = _ties_by_index(np.argsort(-self.raw), self.values)
@@ -397,10 +402,20 @@ def _block_sums(values: np.ndarray, start: int, carry, out: np.ndarray) -> None:
 def _decide(
     f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool, keep_sums: bool = False
 ) -> tuple[_Sorted, _Sorted, Optional[RelationVerdict]]:
-    """Sort the zero-padded f and g once and test sorted-partial-sum dominance.
+    """Test sorted-partial-sum dominance of the zero-padded f and g, sorting
+    each once, and only past position 1.
 
     ``equal_totals`` adds the majorization condition on the last position.
-    Returns both sorted vectors and the failing verdict (None if it holds).
+    Returns both records and the failing verdict (None if it holds).  A NaN
+    ``tol`` raises ValueError: every comparison with it is False, so it
+    would accept every pair.
+
+    Position 1's partial sums are the two maxima, so they are read first,
+    with two O(n) ``max`` calls: a pair whose f peaks above g + tol there
+    returns at once, with records whose ``values`` are never built, and the
+    same ``failed_index`` and message the scan gives (``max`` is the first
+    sorted value, and ``top_g + tol`` the scan's float64 add).  Every other
+    pair is sorted and scanned.
 
     The sorted values are scanned in blocks of ``_BLOCK`` positions, each
     block's partial sums carried on from the last (:func:`_block_sums`), in
@@ -413,8 +428,14 @@ def _decide(
     writes the blocks into two n-length arrays instead and, when the
     relation holds, keeps them as both records' ``sums``.
     """
+    if tol != tol:
+        raise ValueError("tol must not be NaN")
     f2, g2 = common_dim(f, g)
     sf, sg = _Sorted(f2.values), _Sorted(g2.values)
+    top_f, top_g = f2.values.max(), g2.values.max()
+    if top_f > top_g + tol:
+        message = f"sorted partial sums fail at position 1: {top_f:.12g} > {top_g:.12g}"
+        return sf, sg, RelationVerdict(holds=False, failed_index=1, message=message)
     n = f2.dim
     size = min(n, _BLOCK)
     if keep_sums:

@@ -128,6 +128,25 @@ class TestPreserverSpec:
             PreserverSpec(p=1.0, weights=(1.0,), family=quadratic_family(1, 3),
                           constant_row=NonNegVector(h))
 
+    def test_constant_row_hits_list_the_first_three_ascending(self):
+        # Images (2, 3, 5, 8, 12) and (4, 6, 9, 13, 18); h is positive at
+        # 1-based 1, 4, 5, 8, 9, 13 and 14, so it hits 4, 5, 8, 9 and 13, in
+        # member order 5, 8, 4, 9, 13; image 18 lies past h.
+        h = np.zeros(14)
+        h[[0, 3, 4, 7, 8, 12, 13]] = 0.1
+        with pytest.raises(ValueError) as err:
+            PreserverSpec(p=1.0, weights=(0.5, 0.5), family=quadratic_family(2, 5), constant_row=NonNegVector(h))
+        assert str(err.value) == "constant-row support must avoid all injection images; hits [4, 5, 8]"
+
+    def test_constant_row_support_sets_the_window_and_its_rows(self):
+        h = np.zeros(30)
+        h[[0, 6, 29]] = (0.3, 0.2, 0.1)  # 1-based 1, 7 and 30 avoid every image
+        spec = PreserverSpec(p=1.0, weights=(0.5, 0.5), family=quadratic_family(2, 5), constant_row=NonNegVector(h))
+        assert preservation_rows_needed(spec, 3) == 30
+        for rows, kept in ((6, [1]), (7, [1, 7]), (29, [1, 7]), (30, [1, 7, 30])):
+            op = build_preserver(spec, rows, 3)
+            assert sorted({i for (i, j) in op.entries if h[i - 1] > 0}) == kept
+
     def test_json_round_trip(self):
         h = np.zeros(8)
         h[0] = 0.25

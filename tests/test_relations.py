@@ -514,6 +514,147 @@ class TestBlockedScan:
         assert failed is None and "sums" not in vars(sf) and "sums" not in vars(sg)
 
 
+def _position_one_pairs():
+    """Pairs whose verdicts turn at sorted position 1: (label, f, g, tol).
+
+    At tol 1e-9, 0 and 1/8 and scales 2^-30, 1 and 2^30: f's maximum set
+    one ulp below, onto and one ulp above fl(max g + tol) over a halved
+    permuted copy of g; f a permuted copy of g (a tie at the maximum); f
+    well above g; f and g of unequal dimensions; and all-zero f, g or both.
+    """
+    rng = np.random.default_rng(24)
+    for tol in (DEFAULT_CLASS_TOL, 0.0, 0.125):
+        for scale in (2.0**-30, 1.0, 2.0**30):
+            for case in range(4):
+                n = int(rng.integers(1, 12))
+                g = rng.uniform(0, 1, n) * (rng.uniform(size=n) > 0.3)
+                g[rng.integers(n)] = rng.uniform(0.5, 1)
+                g *= scale
+                edge = g.max() + tol
+                for target in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                    f = g[rng.permutation(n)] / 2
+                    f[rng.integers(n)] = target
+                    yield f"max at {target!r}, scale {scale}, tol {tol}", f, g, tol
+                yield f"tie at the maximum, n={n}", g[rng.permutation(n)], g, tol
+                yield f"f above g, n={n}", 2 * g[rng.permutation(n)] + tol, g, tol
+                m = int(rng.integers(1, 2 * n + 2))
+                f = rng.uniform(0, 1, m) * scale
+                yield f"dims {m} and {n}", f, g, tol
+                yield f"dims {n} and {m}", g, f, tol
+                yield f"zero f, n={n}", np.zeros(m), g, tol
+                yield f"zero g, n={n}", f, np.zeros(n), tol
+            yield "both zero", np.zeros(3), np.zeros(5), tol
+
+
+class _CountedSorted(submaj.relations._Sorted):
+    """A record that lists itself in ``made`` and counts its ``values`` builds."""
+
+    made = []
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.sorts = 0
+        self.made.append(self)
+
+    def __getattr__(self, name):
+        if name == "values":
+            vars(self)["sorts"] += 1
+        return super().__getattr__(name)
+
+
+class TestPositionOneRefutation:
+    def test_refutations_match_the_whole_vector_reference(self):
+        indices = set()
+        for label, f, g, tol in _position_one_pairs():
+            f, g = NonNegVector(f), NonNegVector(g)
+            for check, (equal_totals, holds_message) in _HOLDS.items():
+                holds, failed_index, message = _decide_reference(f, g, tol, equal_totals)
+                want = (holds, failed_index, message if message is not None else holds_message)
+                for with_witness in (True, False):
+                    verdict = check(f, g, tol=tol, with_witness=with_witness)
+                    assert (verdict.holds, verdict.failed_index, verdict.message) == want, (label, check)
+                indices.add(failed_index if failed_index in (None, 1) else "later")
+        assert indices == {None, 1, "later"}
+
+    def test_the_edge_at_max_g_plus_tol_is_bitwise_the_scan(self):
+        for tol in (DEFAULT_CLASS_TOL, 0.0, 0.125):
+            for scale in (2.0**-30, 1.0, 2.0**30):
+                g = np.array([0.75, 0.5, 0.25]) * scale
+                edge = g[0] + tol
+                for target, fails in ((np.nextafter(edge, -np.inf), False), (edge, False), (np.nextafter(edge, np.inf), True)):
+                    verdict = check_weak_majorize(V(target), V(*g), tol=tol, with_witness=False)
+                    assert (verdict.failed_index == 1) is fails, (tol, scale, target)
+
+    def test_a_position_one_failure_builds_no_sorted_values(self, monkeypatch):
+        monkeypatch.setattr(submaj.relations, "_Sorted", _CountedSorted)
+        made = _CountedSorted.made
+        f, g = V(2.0, 0.5, 0.0), V(1.0, 1.0)  # unequal dimensions
+        for keep_sums in (False, True):
+            for equal_totals in (False, True):
+                made.clear()
+                _, _, failed = submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals, keep_sums)
+                assert failed.failed_index == 1
+                assert len(made) == 2
+                assert all("values" not in vars(s) and "sums" not in vars(s) and s.sorts == 0 for s in made)
+        for run in (
+            lambda: check_majorize(f, g),
+            lambda: check_weak_majorize(f, g),
+            lambda: check_submajorize(f, g, with_witness=False),
+        ):
+            made.clear()
+            assert run().failed_index == 1
+            assert len(made) == 2 and all(s.sorts == 0 for s in made)
+        for build in (hlp_witness, weak_witness, intermediate_h):
+            made.clear()
+            with pytest.raises(ValueError, match="precondition fails: sorted partial sums fail at position 1"):
+                build(f, g)
+            assert len(made) == 2 and all(s.sorts == 0 for s in made)
+
+    def test_a_decision_past_position_one_sorts_each_input_once(self, monkeypatch):
+        monkeypatch.setattr(submaj.relations, "_Sorted", _CountedSorted)
+        made = _CountedSorted.made
+        f, g = V(0.5, 0.25, 0.0), V(1.0, 0.0, 0.0)
+        for run in (
+            lambda: check_majorize(f, g, with_witness=False),  # fails at the totals
+            lambda: check_majorize(V(0.5, 0.5), V(1.0, 0.0)),
+            lambda: check_weak_majorize(f, g),
+            lambda: check_submajorize(f, g),
+            lambda: check_submajorize(f, g, with_witness=False),
+            lambda: hlp_witness(V(0.5, 0.5), V(1.0, 0.0)),
+            lambda: weak_witness(f, g),
+            lambda: intermediate_h(f, g),
+        ):
+            made.clear()
+            run()
+            assert len(made) >= 2 and [s.sorts for s in made[:2]] == [1, 1]
+
+    def test_a_position_one_failure_at_n_1e6_makes_no_sorted_copy(self):
+        n = 10**6
+        g, f = (NonNegVector(v) for v in _perfbench_weak_pair(n))  # swapped, so f peaks above g
+        tracemalloc.start()
+        try:
+            verdict = check_weak_majorize(f, g, with_witness=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.failed_index == 1
+        assert peak < 0.25 * 8 * n
+
+
+class TestNanTolerance:
+    def test_every_check_and_witness_constructor_rejects_a_nan_tol(self):
+        f, g = V(5, 0), V(1, 0)  # NaN used to accept this pair, with a GENERAL witness
+        nan = float("nan")
+        for check in _HOLDS:
+            for with_witness in (True, False):
+                with pytest.raises(ValueError, match="tol must not be NaN"):
+                    check(f, g, tol=nan, with_witness=with_witness)
+        for build in (hlp_witness, weak_witness, intermediate_h):
+            for pair in ((f, g), (g, f)):
+                with pytest.raises(ValueError, match="tol must not be NaN"):
+                    build(*pair, tol=np.float64(nan))
+
+
 class TestCheckWeakMajorize:
     def test_smaller_vector_holds(self):
         verdict = check_weak_majorize(V(0.3, 0.2), V(1, 0))
