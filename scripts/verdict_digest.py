@@ -1,0 +1,119 @@
+"""SHA-256 over seeded verdicts of the three relation checks and the three
+witness constructors, to compare two checkouts bit for bit.
+
+    PYTHONPATH=src python scripts/verdict_digest.py [--seed N] [--pairs K]
+
+Each of K seeded pairs is checked by check_majorize, check_weak_majorize and
+check_submajorize, with and without a witness, at tol 1e-9, 0 and 1/8: 18
+verdicts a pair.  The digest takes in each verdict's holds, failed_index and
+message, each witness's class and row sums, and its ``data`` at n <= 12.
+Every tenth pair also runs hlp_witness, weak_witness and intermediate_h at
+the pair's own tol, taking in the chain, W's row sums or h, or the
+precondition message raised.  The pairs cover
+mixes and scaled mixes of g (majorized and weakly majorized), permutations,
+independent draws, f well above g, f's maximum one ulp below, onto and one
+ulp above fl(max g + tol), all-zero f or g, unequal dimensions in a third of
+the cases, n from 1 to 600 and scales 2^-30, 1 and 2^30.  The last two lines
+printed are the counts and the digest.
+"""
+import argparse
+import hashlib
+
+import numpy as np
+
+from submaj import NonNegVector
+from submaj.relations import (
+    check_majorize,
+    check_submajorize,
+    check_weak_majorize,
+    hlp_witness,
+    intermediate_h,
+    weak_witness,
+)
+
+CHECKS = (check_majorize, check_weak_majorize, check_submajorize)
+TOLS = (1e-9, 0.0, 0.125)
+
+
+def _mixed(rng, g, m):
+    """A convex mix of one to three permutations of g, cut or zero-padded to m."""
+    w = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+    mix = sum(wi * g[rng.permutation(g.size)] for wi in w)
+    return np.resize(mix, m) if m <= g.size else np.concatenate([mix, np.zeros(m - g.size)])
+
+
+def _pair(rng, case):
+    n = int(rng.integers(1, 13)) if case % 4 else int(rng.integers(13, 600))
+    g = rng.integers(0, 5, n) / 4.0 if case % 7 == 0 else rng.uniform(0, 1, n) * (rng.uniform(size=n) > 0.25)
+    m = n if case % 3 else int(rng.integers(1, 2 * n + 2))
+    kind, tol = case % 9, TOLS[case // 9 % 3]
+    if kind == 0:
+        f = _mixed(rng, g, m)
+    elif kind == 1:
+        f = _mixed(rng, g, m) * rng.uniform(0.5, 1.0, m)
+    elif kind == 2:
+        f = np.resize(g[rng.permutation(n)], m)
+    elif kind == 3:
+        f = rng.uniform(0, 1, m)
+    elif kind == 4:
+        f = np.resize(g, m) * 1.5 + 0.01
+    elif kind in (5, 6):
+        f = np.resize(g[rng.permutation(n)], m) / 2
+        edge = g.max() + tol
+        f[rng.integers(m)] = (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))[int(rng.integers(3))]
+    elif kind == 7:
+        f = np.zeros(m)
+    else:
+        f, g = rng.uniform(0, 1, m), np.zeros(n)
+    scale = 2.0 ** int(rng.choice([-30, 0, 30]))
+    return NonNegVector(np.maximum(f, 0.0) * scale), NonNegVector(g * scale), tol
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--pairs", type=int, default=4200)
+    args = parser.parse_args()
+    digest = hashlib.sha256()
+    counts = dict.fromkeys(("verdicts", "position_1", "later", "holds", "unequal_dims", "witness_data", "constructors"), 0)
+
+    def feed(*parts):
+        for part in parts:
+            digest.update(repr(part).encode() + b"|")
+
+    rng = np.random.default_rng(args.seed)
+    for case in range(args.pairs):
+        f, g, pair_tol = _pair(rng, case)
+        counts["unequal_dims"] += f.dim != g.dim
+        for tol in TOLS:
+            for check in CHECKS:
+                for with_witness in (True, False):
+                    v = check(f, g, tol=tol, with_witness=with_witness)
+                    counts["verdicts"] += 1
+                    counts["holds"] += v.holds
+                    counts["position_1"] += v.failed_index == 1
+                    counts["later"] += (v.failed_index or 1) > 1
+                    feed(check.__name__, with_witness, tol, v.holds, v.failed_index, v.message)
+                    if v.witness is not None:
+                        feed(v.witness.matrix_class.name, v.witness.row_sums.tobytes())
+                        if v.witness.n <= 12:
+                            counts["witness_data"] += 1
+                            feed(v.witness.data.tobytes())
+        if case % 10 == 0:
+            for build in (hlp_witness, weak_witness, intermediate_h):
+                counts["constructors"] += 1
+                try:
+                    out = build(f, g, tol=pair_tol)
+                except ValueError as err:
+                    feed(build.__name__, str(err))
+                else:
+                    if build is hlp_witness:
+                        feed(build.__name__, out.steps, out.pre_perm, out.post_perm)
+                    else:
+                        feed(build.__name__, (out.values if build is intermediate_h else out.row_sums).tobytes())
+    print(counts)
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
