@@ -19,18 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .acceptance import run_acceptance
+# Only the layers of check, witness and complete load with the CLI; every
+# other handler imports its own (preservers, demos, the battery), so a fresh
+# `submaj check` process never compiles or runs them.
 from .config import DEFAULT_CLASS_TOL, DEFAULT_EXACT_TOL, Config
-from .demos import display_spec, reciprocal_square_example, shift_forcing
 from .matrices import MatrixClass, StochMatrix, vonneumann_complete
-from .preservers import (
-    PreserverSpec,
-    TruncatedOperator,
-    build_preserver,
-    classify_preserver_l1,
-    classify_preserver_lp,
-    empirical_preservation_check,
-)
 from .relations import check_majorize, check_submajorize, check_weak_majorize, hlp_witness
 from .vectors import NonNegVector
 
@@ -158,6 +151,8 @@ def _cmd_complete(args, cfg: Config) -> int:
 
 
 def _cmd_classify(args, cfg: Config) -> int:
+    from .preservers import TruncatedOperator, classify_preserver_l1, classify_preserver_lp
+
     op = _load(args.operator, TruncatedOperator.from_json_dict)
     classify = classify_preserver_lp if args.space == "lp" else classify_preserver_l1
     verdict = classify(op, cfg.tol_class)
@@ -169,6 +164,8 @@ def _cmd_classify(args, cfg: Config) -> int:
 
 
 def _cmd_build_preserver(args, cfg: Config) -> int:
+    from .preservers import PreserverSpec, build_preserver
+
     spec = _load(args.spec, PreserverSpec.from_json_dict)
     op = build_preserver(spec, rows=args.rows, cols=args.cols)
     _emit(op.to_json_dict(), args.out)
@@ -176,6 +173,8 @@ def _cmd_build_preserver(args, cfg: Config) -> int:
 
 
 def _cmd_preserve_test(args, cfg: Config) -> int:
+    from .preservers import PreserverSpec, empirical_preservation_check
+
     spec = _load(args.spec, PreserverSpec.from_json_dict)
     report = empirical_preservation_check(
         spec, trials=args.trials, n=args.dim, seed=cfg.seed, tol=cfg.tol_class
@@ -202,6 +201,8 @@ def _cmd_preserve_test(args, cfg: Config) -> int:
 
 
 def _cmd_demo_shift(args, cfg: Config) -> int:
+    from .demos import shift_forcing
+
     n = args.n
     g = NonNegVector(np.array([1.0 / (i * i) for i in range(1, n + 1)]))
     result = shift_forcing(g)
@@ -227,6 +228,9 @@ def _cmd_demo_shift(args, cfg: Config) -> int:
 
 
 def _cmd_demo_paper_matrix(args, cfg: Config) -> int:
+    from .demos import display_spec
+    from .preservers import build_preserver
+
     lam = _load_weights(args.lam) if args.lam else (0.5, 0.25, 0.125, 0.0625, 0.03125)
     mu = _load_weights(args.mu) if args.mu else lam
     spec = display_spec(args.which, tuple(lam), args.a, tuple(mu), args.rows, args.cols)
@@ -240,6 +244,8 @@ def _cmd_demo_paper_matrix(args, cfg: Config) -> int:
 
 
 def _cmd_demo_recip_square(args, cfg: Config) -> int:
+    from .demos import reciprocal_square_example
+
     report = reciprocal_square_example(args.n, cfg.tol_class)
     payload = {
         "n": report.n,
@@ -273,6 +279,13 @@ def _cmd_demo_recip_square(args, cfg: Config) -> int:
         print("  annotation: 0 = g(1) is not a value of the untruncated sequence,"
               " so no full permutation links f and g beyond every truncation.")
     return 0
+
+
+def run_acceptance(seed: int, tol: float, tol_exact: float):
+    """The acceptance battery, imported on the first call: only ``selftest`` loads it."""
+    from .acceptance import run_acceptance as battery
+
+    return battery(seed=seed, tol=tol, tol_exact=tol_exact)
 
 
 def _cmd_selftest(args, cfg: Config) -> int:
