@@ -411,11 +411,12 @@ def _decide(
     would accept every pair.
 
     Position 1's partial sums are the two maxima, so they are read first,
-    with two O(n) ``max`` calls: a pair whose f peaks above g + tol there
-    returns at once, with records whose ``values`` are never built, and the
-    same ``failed_index`` and message the scan gives (``max`` is the first
-    sorted value, and ``top_g + tol`` the scan's float64 add).  Every other
-    pair is sorted and scanned.
+    with two O(n) ``max`` calls on the inputs as given (zero padding moves
+    neither maximum of nonnegative entries): a pair whose f peaks above
+    g + tol there returns at once, with records of the unpadded inputs whose
+    ``values`` are never built, and the same ``failed_index`` and message
+    the scan gives (``max`` is the first sorted value, and ``top_g + tol``
+    the scan's float64 add).  Every other pair is padded, sorted and scanned.
 
     The sorted values are scanned in blocks of ``_BLOCK`` positions, each
     block's partial sums carried on from the last (:func:`_block_sums`), in
@@ -430,12 +431,13 @@ def _decide(
     """
     if tol != tol:
         raise ValueError("tol must not be NaN")
-    f2, g2 = common_dim(f, g)
-    sf, sg = _Sorted(f2.values), _Sorted(g2.values)
-    top_f, top_g = f2.values.max(), g2.values.max()
+    top_f, top_g = f.values.max(), g.values.max()
     if top_f > top_g + tol:
         message = f"sorted partial sums fail at position 1: {top_f:.12g} > {top_g:.12g}"
-        return sf, sg, RelationVerdict(holds=False, failed_index=1, message=message)
+        failed = RelationVerdict(holds=False, failed_index=1, message=message)
+        return _Sorted(f.values), _Sorted(g.values), failed
+    f2, g2 = common_dim(f, g)
+    sf, sg = _Sorted(f2.values), _Sorted(g2.values)
     n = f2.dim
     size = min(n, _BLOCK)
     if keep_sums:
