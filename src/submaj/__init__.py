@@ -12,7 +12,7 @@ then bound here, so a process loads only the layers it uses: deciding a
 relation never loads the preservers, the demos or the acceptance battery.
 A name is bound to its module's value at that first read.
 """
-import importlib
+import importlib as _importlib
 
 _EXPORTS = {
     "config": ("Config", "DEFAULT_CLASS_TOL", "DEFAULT_EXACT_TOL"),
@@ -104,12 +104,12 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     if name in _SUBMODULES:
         # The import system binds the submodule here, so this runs once.
-        return importlib.import_module(f"{__name__}.{name}")
+        return _importlib.import_module(f"{__name__}.{name}")
     try:
         module = _MODULE_OF[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = getattr(_importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
 
