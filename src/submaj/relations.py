@@ -1,6 +1,7 @@
 """Decision procedures and witness constructors for the majorization orders.
 
-Three relations on nonnegative vectors (shorter input zero-padded first):
+Three relations on nonnegative vectors (the shorter input read as
+zero-padded):
 
 * majorize:        f = Dg for a doubly stochastic D.  Finite test: sorted
                    partial-sum dominance plus equal totals.
@@ -17,19 +18,23 @@ n-1 two-coordinate mixing steps (T-transforms) built by the classical
 Hardy-Littlewood-Polya argument, row-scaled when totals differ: the weak
 witness is W = diag(s) D1 with 0 <= s <= 1 and D1 doubly stochastic.  D1
 dominates W entrywise, so D1 is the submajorization certificate, and its
-``steps`` is empty (no greedy completion runs).  Each call decides once and
-sorts f and g at most once each: a decision reads the two maxima first, the
-partial sums at position 1, and refutes a pair that fails there with no
-sort; only a pair that passes position 1 is sorted.  A decision sorts
-values only; the stable tie-broken order is computed only when a witness, h
-or a permutation is built, and the witness is built from that same sorted
-data.  The decision scans the two sorted copies in cache-sized blocks with
-a carried running total, bitwise the sums of one whole-vector ``cumsum``,
-and stops at the first block that fails.  A decision that will build a weak witness writes
-its blocks into two n-length arrays and keeps them as the partial sums h is
-raised from; h's sorted values and order are then read off f's, since h
-along f's sorted order is non-increasing, and h is sorted anew only when
-rounding breaks that order.
+``steps`` is empty (no greedy completion runs).  Each call decides once: a
+decision reads the two maxima first, the partial sums at position 1, and
+refutes a pair that fails there with no sort; only a pair that passes
+position 1 is sorted, each input once and values only.  The stable
+tie-broken order is an argsort of its own, made only when a witness, h or a
+permutation is built, and the witness is built from that same sorted data.
+The decision scans the two sorted copies in cache-sized blocks of one
+complex buffer, f's partial sums in its real parts and g's in its imaginary
+parts, with a carried running total, bitwise the sums of one whole-vector
+``cumsum`` of each zero-padded input, and stops at the first block that
+fails.  A decision-only call sorts each input at its own length and writes
+zeros past the shorter one's end, so it makes no padded copy.  A decision
+that will build a witness pads the inputs, sums all n positions into the
+buffer and keeps its two parts as the partial sums h is raised from; h's
+sorted values and order are then read off f's, since h along f's sorted
+order is non-increasing, and h is sorted anew only when rounding breaks
+that order.
 The chain itself picks each step from index sets it keeps up to date (j,
 the last position with y - x > eps, on a stack, and the positions with
 y < x, split at j into a buffer gap), so after the sorts it costs amortised
@@ -320,8 +325,8 @@ class _Sorted:
     ``values`` put in index order (:func:`_ties_by_index`).  ``raw[order]``
     equals ``values`` bitwise for any ``raw`` without -0.0, which a
     NonNegVector never stores.  ``sums``, the partial sums of ``values``,
-    are kept by a decision that will build a weak witness (:func:`_decide`
-    with ``keep_sums``), for :func:`_raised`; otherwise they are built on
+    are kept by a decision that will build a witness (:func:`_decide` with
+    ``keep_sums``), for :func:`_raised`; otherwise they are built on
     first use.  All three are kept in the instance's dict, so later reads
     never reach ``__getattr__``.  The weak witness makes h's record from f's
     (:func:`_raised_record`), with no sort of h.
@@ -371,32 +376,13 @@ def _ties_by_index(order: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 # Positions per block of the decision's scan, chosen from timings of blocks
-# of 4096 to 65536 at n = 10^4, 3 * 10^4 and 10^5.  Its buffers (three float
-# and one bool, about 400 KB) stay in a core's L2 cache, a vector of up to
-# 16384 entries is scanned in one block with no copy, and a pair that fails
-# in the first block pays little more than its two sorts.  The buffers are
-# allocated apart: as one (3, n) array at n = 10^4 they would pass glibc's
-# 128 KiB mmap threshold, and a fresh process would map and fault them in
+# of 4096 to 65536 at n = 10^4, 3 * 10^4 and 10^5.  Its buffers (one complex,
+# one float and one bool, about 400 KB) stay in a core's L2 cache, and a pair
+# that fails in the first block pays little more than its two sorts.  The
+# buffers are allocated apart: as one array at n = 10^4 they would pass
+# glibc's mmap threshold, and a fresh process would map and fault them in
 # anew on every call.
 _BLOCK = 16384
-
-
-def _block_sums(values: np.ndarray, start: int, carry, out: np.ndarray) -> None:
-    """The partial sums of ``values`` at positions start, start + 1, ...,
-    into ``out``, given ``carry``, the partial sum at start - 1.
-
-    Past the first block, the block is copied with the carry added to its
-    first value and accumulated in place: ``cumsum`` is the sequential
-    ``add.accumulate``, each sum the rounded sum of the one before and the
-    next value, so every sum is bitwise what one ``cumsum`` over the whole
-    vector gives.
-    """
-    block = values[start : start + out.size]
-    if start:
-        out[...] = block
-        out[0] += carry
-        block = out
-    block.cumsum(out=out)
 
 
 def _decide(
@@ -413,21 +399,24 @@ def _decide(
     Position 1's partial sums are the two maxima, so they are read first,
     with two O(n) ``max`` calls on the inputs as given (zero padding moves
     neither maximum of nonnegative entries): a pair whose f peaks above
-    g + tol there returns at once, with records of the unpadded inputs whose
-    ``values`` are never built, and the same ``failed_index`` and message
-    the scan gives (``max`` is the first sorted value, and ``top_g + tol``
-    the scan's float64 add).  Every other pair is padded, sorted and scanned.
+    g + tol there returns at once, with records whose ``values`` are never
+    built, and the same ``failed_index`` and message the scan gives (``max``
+    is the first sorted value, and ``top_g + tol`` the scan's float64 add).
 
-    The sorted values are scanned in blocks of ``_BLOCK`` positions, each
-    block's partial sums carried on from the last (:func:`_block_sums`), in
-    buffers reused from block to block: the only n-length arrays made are the
-    two sorted copies.  Every partial sum, and with it every comparison,
-    ``failed_index`` and message, is bitwise what one ``cumsum`` over the
-    whole vector gives.  The scan stops at the first block that holds a
-    failing position, so a pair that fails early pays little more than its
-    two sorts.  ``keep_sums``, for a caller that will build a weak witness,
-    writes the blocks into two n-length arrays instead and, when the
-    relation holds, keeps them as both records' ``sums``.
+    Every other pair is sorted, each input at its own length, and scanned
+    in blocks of ``_BLOCK`` positions of one complex buffer: f's partial
+    sums in the real parts, g's in the imaginary parts.  A block is filled
+    from the two sorted copies, zeros past the shorter one's end, gets the
+    sum carried from the block before at its first position and is summed by
+    one in-place ``cumsum``, the sequential ``add.accumulate``, whose
+    complex add is two independent float64 adds.  So every partial sum, and
+    with it every comparison, ``failed_index`` and message, is bitwise what
+    one ``cumsum`` over each whole zero-padded vector gives, and no padded
+    copy is made.  The scan stops at the first block that holds a failing
+    position.  ``keep_sums``, for a caller that will build a witness, pads
+    the inputs before sorting, so the records are those of the padded
+    vectors, and makes the buffer all n positions; when the relation holds,
+    its real and imaginary parts become the two records' ``sums``.
     """
     if tol != tol:
         raise ValueError("tol must not be NaN")
@@ -436,43 +425,45 @@ def _decide(
         message = f"sorted partial sums fail at position 1: {top_f:.12g} > {top_g:.12g}"
         failed = RelationVerdict(holds=False, failed_index=1, message=message)
         return _Sorted(f.values), _Sorted(g.values), failed
-    f2, g2 = common_dim(f, g)
-    sf, sg = _Sorted(f2.values), _Sorted(g2.values)
-    n = f2.dim
-    size = min(n, _BLOCK)
     if keep_sums:
-        sums_f, sums_g = np.empty(n), np.empty(n)
-    else:
-        pf, pg = np.empty(size), np.empty(size)
+        f, g = common_dim(f, g)
+    sf, sg = _Sorted(f.values), _Sorted(g.values)
+    n = max(f.dim, g.dim)
+    size = min(n, _BLOCK)
+    sums = np.empty(n if keep_sums else size, dtype=complex)
     bound, above = np.empty(size), np.empty(size, dtype=bool)
-    carry_f = carry_g = None
     for start in range(0, n, size):
-        if keep_sums:
-            pf, pg = sums_f[start : start + size], sums_g[start : start + size]
-        if n - start < size:  # the last block is shorter
-            pf, pg, bound, above = pf[: n - start], pg[: n - start], bound[: n - start], above[: n - start]
-        _block_sums(sf.values, start, carry_f, pf)
-        _block_sums(sg.values, start, carry_g, pg)
-        np.add(pg, tol, out=bound)
-        np.greater(pf, bound, out=above)
+        stop = min(start + size, n)
+        block = sums[start:stop] if keep_sums else sums[: stop - start]
+        for part, values in ((block.real, sf.values), (block.imag, sg.values)):
+            head = values[start:stop]
+            part[: head.size] = head
+            part[head.size :] = 0.0
+        if start:
+            block[0] += carry
+        block.cumsum(out=block)
+        bound, above = bound[: block.size], above[: block.size]
+        np.add(block.imag, tol, out=bound)
+        np.greater(block.real, bound, out=above)
         k = int(above.argmax())  # the first True, or 0 if there is none
         if above[k]:
-            message = f"sorted partial sums fail at position {start + k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
+            bad = block[k]
+            message = f"sorted partial sums fail at position {start + k + 1}: {bad.real:.12g} > {bad.imag:.12g}"
             return sf, sg, RelationVerdict(holds=False, failed_index=start + k + 1, message=message)
-        carry_f, carry_g = pf[-1], pg[-1]
-    if equal_totals and abs(carry_f - carry_g) > tol:
-        message = f"totals differ at position {n}: {carry_f:.12g} vs {carry_g:.12g}"
+        carry = block[-1]
+    if equal_totals and abs(carry.real - carry.imag) > tol:
+        message = f"totals differ at position {n}: {carry.real:.12g} vs {carry.imag:.12g}"
         return sf, sg, RelationVerdict(holds=False, failed_index=n, message=message)
     if keep_sums:
-        vars(sf)["sums"], vars(sg)["sums"] = sums_f, sums_g
+        vars(sf)["sums"], vars(sg)["sums"] = sums.real, sums.imag
     return sf, sg, None
 
 
-def _require(
-    f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool, keep_sums: bool = False
-) -> tuple[_Sorted, _Sorted]:
-    """:func:`_decide` for the witness constructors: raise their precondition error on failure."""
-    sf, sg, failed = _decide(f, g, tol, equal_totals, keep_sums)
+def _require(f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool) -> tuple[_Sorted, _Sorted]:
+    """:func:`_decide` for the witness constructors, with the padded records
+    and kept sums a witness is built from: raise their precondition error on
+    failure."""
+    sf, sg, failed = _decide(f, g, tol, equal_totals, keep_sums=True)
     if failed is not None:
         relation = "majorization" if equal_totals else "weak majorization"
         raise ValueError(f"{relation} precondition fails: {failed.message}")
@@ -486,7 +477,7 @@ def check_majorize(
     with_witness: bool = True,
 ) -> RelationVerdict:
     """Decide f majorized by g; certify with a doubly stochastic witness."""
-    sf, sg, failed = _decide(f, g, tol, equal_totals=True)
+    sf, sg, failed = _decide(f, g, tol, equal_totals=True, keep_sums=with_witness)
     if failed is not None:
         return failed
     witness = _ChainMatrix(_hlp_chain(sf, sg, tol), sf.order, sg.order, tol) if with_witness else None
@@ -658,7 +649,7 @@ def intermediate_h(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_
     capping each raise by the remaining sorted-partial-sum headroom of g, so
     dominance is preserved at every prefix and the result is deterministic.
     """
-    return NonNegVector(_raised(*_require(f, g, tol, equal_totals=False, keep_sums=True)))
+    return NonNegVector(_raised(*_require(f, g, tol, equal_totals=False)))
 
 
 def _raised(sf: _Sorted, sg: _Sorted) -> np.ndarray:
@@ -704,7 +695,7 @@ def weak_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TO
     already reproduce f(i) = 0 and keep scale 1).  The all-zero f gets the
     zero matrix directly.
     """
-    return _weak_factors(*_require(f, g, tol, equal_totals=False, keep_sums=True), tol)[0]
+    return _weak_factors(*_require(f, g, tol, equal_totals=False), tol)[0]
 
 
 def _weak_factors(sf: _Sorted, sg: _Sorted, tol: float) -> tuple[StochMatrix, StochMatrix]:

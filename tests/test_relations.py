@@ -809,7 +809,7 @@ class TestHlpWitness:
                     assert np.array_equal(verdict.certificate.completion.data, before_completion)
                 # The chain from the (raised) f itself: steps and product.
                 h = f if check is check_majorize else intermediate_h(f, g)
-                sh, sg, _ = submaj.relations._decide(h, g, DEFAULT_CLASS_TOL, equal_totals=True)
+                sh, sg, _ = submaj.relations._decide(h, g, DEFAULT_CLASS_TOL, equal_totals=True, keep_sums=True)
                 steps, product = _accumulator_hlp_chain(sh, sg, DEFAULT_CLASS_TOL)
                 chain = hlp_witness(h, g)
                 assert [tuple(step) for step in chain.steps] == list(steps)
