@@ -71,6 +71,7 @@ scan; every other certificate runs it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import FrozenInstanceError, dataclass
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -398,10 +399,14 @@ def _decide(
 
     Position 1's partial sums are the two maxima, so they are read first,
     with two O(n) ``max`` calls on the inputs as given (zero padding moves
-    neither maximum of nonnegative entries): a pair whose f peaks above
-    g + tol there returns at once, with records whose ``values`` are never
-    built, and the same ``failed_index`` and message the scan gives (``max``
-    is the first sorted value, and ``top_g + tol`` the scan's float64 add).
+    neither maximum of nonnegative entries), and compared exactly: a pair
+    whose f peaks more than tol above g returns at once, with records whose
+    ``values`` are never built.  top_f - top_g is exact when
+    top_g / 2 <= top_f <= 2 top_g (Sterbenz's lemma); otherwise its rounding
+    is monotone, so it orders correctly against the float tol except when it
+    rounds onto tol, which ``math.fsum`` settles exactly.  A pair this
+    accepts passes the scan's position 1 too: top_f <= top_g + tol exactly
+    gives top_f <= fl(top_g + tol).
 
     Every other pair is sorted, each input at its own length, and scanned
     in blocks of ``_BLOCK`` positions of one complex buffer: f's partial
@@ -421,7 +426,8 @@ def _decide(
     if tol != tol:
         raise ValueError("tol must not be NaN")
     top_f, top_g = f.values.max(), g.values.max()
-    if top_f > top_g + tol:
+    gap = top_f - top_g
+    if gap > tol or gap == tol and math.fsum((top_f, -top_g, -tol)) > 0:
         message = f"sorted partial sums fail at position 1: {top_f:.12g} > {top_g:.12g}"
         failed = RelationVerdict(holds=False, failed_index=1, message=message)
         return _Sorted(f.values), _Sorted(g.values), failed

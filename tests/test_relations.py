@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -237,10 +238,15 @@ def _stable_sort_reference(raw):
 
 
 def _decide_reference(f, g, tol, equal_totals):
-    """The decision on the stable sort, kept as a reference: (holds, failed_index, message)."""
+    """The decision on the stable sort, kept as a reference: (holds, failed_index, message).
+
+    Position 1 compares the two maxima exactly; every later position
+    compares the float partial sums against fl(G_k + tol)."""
     f2, g2 = common_dim(f, g)
     pf, pg = _stable_sort_reference(f2.values)[2], _stable_sort_reference(g2.values)[2]
-    bad = np.nonzero(pf > pg + tol)[0]
+    over = pf > pg + tol
+    over[0] = Fraction(pf[0]) - Fraction(pg[0]) > tol  # a Fraction compares with a float exactly
+    bad = np.nonzero(over)[0]
     if bad.size:
         k = int(bad[0])
         return False, k + 1, f"sorted partial sums fail at position {k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
@@ -576,14 +582,40 @@ class TestPositionOneRefutation:
                 indices.add(failed_index if failed_index in (None, 1) else "later")
         assert indices == {None, 1, "later"}
 
-    def test_the_edge_at_max_g_plus_tol_is_bitwise_the_scan(self):
+    def test_the_edge_at_max_g_plus_tol_is_decided_exactly(self):
+        # f's maximum one ulp below, onto and one ulp above fl(max g + tol)
+        # fails position 1 exactly when max f - max g > tol in exact
+        # arithmetic.  Where fl(max g + tol) rounds up, a float comparison
+        # against it accepts a maximum that exceeds it exactly (fault 2a).
+        rounded_up = 0
         for tol in (DEFAULT_CLASS_TOL, 0.0, 0.125):
             for scale in (2.0**-30, 1.0, 2.0**30):
-                g = np.array([0.75, 0.5, 0.25]) * scale
-                edge = g[0] + tol
-                for target, fails in ((np.nextafter(edge, -np.inf), False), (edge, False), (np.nextafter(edge, np.inf), True)):
-                    verdict = check_weak_majorize(V(target), V(*g), tol=tol, with_witness=False)
-                    assert (verdict.failed_index == 1) is fails, (tol, scale, target)
+                for top in (0.75, 0.61, 0.55, 0.9):
+                    g = np.array([top, 0.5, 0.25]) * scale
+                    edge = g[0] + tol
+                    for target in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                        fails = Fraction(target) - Fraction(g[0]) > tol
+                        rounded_up += fails and not target > edge
+                        verdict = check_weak_majorize(V(target), V(*g), tol=tol, with_witness=False)
+                        assert (verdict.failed_index == 1) is fails, (tol, scale, target)
+        assert rounded_up == 5
+
+    def test_the_fault_2a_pairs_fail_at_position_one(self):
+        # max g lies in [2^23, 2^24), where one ulp is 1.86e-9, and max f is
+        # one ulp above it: fl(max g + 1e-9) rounds up to max f, but the
+        # exact margin exceeds tol, as the exact reference says.
+        from perfbench import inputs
+
+        for f, g in inputs.fault_2a_pairs(3):
+            assert inputs.reference(f, g) == inputs.Reference(1, 1)
+            f, g = NonNegVector(f), NonNegVector(g)
+            for check in _HOLDS:
+                for with_witness in (True, False):
+                    verdict = check(f, g, tol=DEFAULT_CLASS_TOL, with_witness=with_witness)
+                    assert (verdict.holds, verdict.failed_index) == (False, 1), (check, f.values, g.values)
+            for build in (hlp_witness, weak_witness, intermediate_h):
+                with pytest.raises(ValueError, match="fail at position 1"):
+                    build(f, g)
 
     def test_a_position_one_failure_builds_no_sorted_values(self, monkeypatch):
         monkeypatch.setattr(submaj.relations, "_Sorted", _CountedSorted)
