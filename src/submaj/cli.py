@@ -24,7 +24,7 @@ import numpy as np
 # `submaj check` process never compiles or runs them.
 from .config import DEFAULT_CLASS_TOL, DEFAULT_EXACT_TOL, Config
 from .matrices import MatrixClass, StochMatrix, vonneumann_complete
-from .relations import check_majorize, check_submajorize, check_weak_majorize, hlp_witness
+from .relations import _chain_of, check_majorize, check_submajorize, check_weak_majorize
 from .vectors import NonNegVector
 
 SHIFT_ANNOTATION = (
@@ -130,12 +130,11 @@ def _cmd_check(args, cfg: Config) -> int:
 def _cmd_witness(args, cfg: Config) -> int:
     f = _load_vector(args.f)
     g = _load_vector(args.g)
-    verdict = check_majorize(f, g, cfg.tol_class, with_witness=False)
+    verdict = check_majorize(f, g, cfg.tol_class)  # decides once, and builds the chain on success
     if not verdict.holds:
         print(f"relation fails: {verdict.message}", file=sys.stderr)
         return 1
-    chain = hlp_witness(f, g, cfg.tol_class)
-    _emit(chain.to_json_dict(), args.out)
+    _emit(_chain_of(verdict.witness).to_json_dict(), args.out)
     return 0
 
 

@@ -551,12 +551,17 @@ def hlp_witness(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_TOL
     permutations, is written on the first read of ``product.data``.
     """
     sf, sg = _require(f, g, tol, equal_totals=True)
-    steps = _hlp_chain(sf, sg, tol)
+    return _chain_of(_ChainMatrix(_hlp_chain(sf, sg, tol), sf.order, sg.order, tol))
+
+
+def _chain_of(product: _ChainMatrix) -> TTransformChain:
+    """The public chain of an unscaled chain-held witness, such as
+    :func:`check_majorize`'s, with ``product`` itself as its product."""
     return TTransformChain(
-        steps=tuple(map(TTransformStep._make, steps)),
-        pre_perm=tuple((sg.order + 1).tolist()),
-        post_perm=tuple((sf.order + 1).tolist()),
-        product=_ChainMatrix(steps, sf.order, sg.order, tol),
+        steps=tuple(map(TTransformStep._make, product._steps)),
+        pre_perm=tuple((product._cols + 1).tolist()),
+        post_perm=tuple((product._rows + 1).tolist()),
+        product=product,
     )
 
 

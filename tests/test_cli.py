@@ -179,6 +179,34 @@ def test_witness_fails_when_relation_fails(files, capsys):
     assert "fails" in capsys.readouterr().err
 
 
+def test_witness_decides_once_and_emits_the_hlp_witness_chain(files, capsys, monkeypatch):
+    write, tmp = files
+    # Unequal dimensions and a tie: g is read as (3, 1, 0, 0).
+    f = write("f.json", {"dim": 4, "values": [1.0, 1.5, 0.5, 1.0]})
+    g = write("g.json", {"dim": 2, "values": [3.0, 1.0]})
+    fv, gv = submaj.cli._load_vector(f), submaj.cli._load_vector(g)
+    expected = json.dumps(submaj.relations.hlp_witness(fv, gv).to_json_dict(), indent=2) + "\n"
+    decisions = []
+
+    def counted(*args, **kwargs):
+        decisions.append(args)
+        return decide(*args, **kwargs)
+
+    decide = submaj.relations._decide
+    monkeypatch.setattr(submaj.relations, "_decide", counted)
+    monkeypatch.setattr(submaj.relations, "hlp_witness", None)  # the command must not call it
+    out = tmp / "chain.json"
+    assert main(["witness", f, g, "--out", str(out)]) == 0
+    assert out.read_text() == expected
+    assert main(["witness", f, g]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(decisions) == 2
+    decisions.clear()
+    assert main(["witness", g, f]) == 1  # (3, 1, 0, 0) against (1.5, 1, 1, 0.5) fails at position 1
+    assert capsys.readouterr().err == "relation fails: sorted partial sums fail at position 1: 3 > 1.5\n"
+    assert len(decisions) == 1
+
+
 def test_complete_doubly_stochastic_is_fixed_point(files, capsys):
     write, _ = files
     d = write("d.json", {"n": 2, "data": [0.5, 0.5, 0.5, 0.5]})
