@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -459,6 +460,23 @@ class TestBlockedScan:
             tracemalloc.stop()
         assert verdict.holds
         assert peak < 2.25 * 8 * n  # two sorted copies and the block buffers; whole-vector sums took 5.1 x 8n
+
+    def test_an_unequal_dimension_decision_makes_no_padded_copy(self):
+        # f cut to its largest n/2 entries still holds; its sorted copy has
+        # n/2 entries, and the scan writes zeros past them, where a padded
+        # copy of f and its sort took about 3.5 x 8n bytes at this n.
+        n = 10**5
+        f, g = _perfbench_weak_pair(n)
+        f, g = NonNegVector(np.sort(f)[::-1][: n // 2]), NonNegVector(g)
+        for check in (check_majorize, check_weak_majorize, check_submajorize):
+            tracemalloc.start()
+            try:
+                verdict = check(f, g, with_witness=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert verdict.holds is (check is not check_majorize), check
+            assert peak < 2.25 * 8 * n, (check, peak / (8 * n))
 
     def test_only_the_weak_witness_builds_partial_sums(self, monkeypatch):
         made = []
@@ -975,6 +993,52 @@ def test_verdicts_are_permutation_invariant_and_witnesses_build(pair):
             assert cert.completion.matrix_class is MatrixClass.DOUBLY_STOCHASTIC
             assert np.all(cert.completion.data >= w.data)
             assert cert.steps == ()
+
+
+@st.composite
+def _unequal_dimension_pairs(draw):
+    """(f, g, tol, block): inputs of unequal dimensions, either one the
+    shorter.  g is dyadic (k / 64) or uniform, with exact zeros; f is drawn
+    freely, or is a permutation of g averaged over disjoint pairs and scaled
+    by k / 16, cut or extended with zeros; both are scaled by 2**e, e in
+    -30..30.  tol is 0, 1e-9 or 1/8, and the scan's block 1, 3, 4 or its
+    own size, so the shorter input ends inside blocks and at their edges."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 24).filter(lambda k: k != n))
+    if draw(st.booleans()):
+        g = np.array(draw(st.lists(st.integers(0, 1024), min_size=n, max_size=n)), dtype=float) / 64
+    else:
+        g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, n)
+    g[draw(st.lists(st.integers(0, n - 1), max_size=n // 2 + 1))] = 0.0
+    if draw(st.booleans()):
+        f = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, m)
+    else:
+        f = g[draw(st.permutations(range(n)))]
+        for i in range(0, n - 1, 2):
+            f[i] = f[i + 1] = (f[i] + f[i + 1]) / 2
+        f = f * np.array(draw(st.lists(st.integers(8, 16), min_size=n, max_size=n))) / 16
+        f = np.concatenate([f, np.zeros(max(0, m - n))])[:m]
+    if draw(st.booleans()):
+        f, g = g, f
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    tol = draw(st.sampled_from((0.0, DEFAULT_CLASS_TOL, 0.125)))
+    block = draw(st.sampled_from((1, 3, 4, submaj.relations._BLOCK)))
+    return NonNegVector(f * scale), NonNegVector(g * scale), tol, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unequal_dimension_pairs())
+def test_unequal_dimension_decisions_equal_the_zero_padded_pair(pair):
+    # A decision-only call sorts each input at its own length and writes
+    # zeros past the shorter one's end; its verdict is the padded pair's.
+    f, g, tol, block = pair
+    n = max(f.dim, g.dim)
+    padded = f.padded(n), g.padded(n)
+    with mock.patch.object(submaj.relations, "_BLOCK", block):
+        for check in _HOLDS:
+            verdict = check(f, g, tol=tol, with_witness=False)
+            want = check(*padded, tol=tol, with_witness=False)
+            assert (verdict.holds, verdict.failed_index, verdict.message) == (want.holds, want.failed_index, want.message)
 
 
 @st.composite
