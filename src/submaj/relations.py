@@ -1,7 +1,6 @@
 """Decision procedures and witness constructors for the majorization orders.
 
-Three relations on nonnegative vectors (the shorter input read as
-zero-padded):
+Three relations on nonnegative vectors (shorter input read as zero-padded):
 
 * majorize:        f = Dg for a doubly stochastic D.  Finite test: sorted
                    partial-sum dominance plus equal totals.
@@ -20,21 +19,18 @@ witness is W = diag(s) D1 with 0 <= s <= 1 and D1 doubly stochastic.  D1
 dominates W entrywise, so D1 is the submajorization certificate, and its
 ``steps`` is empty (no greedy completion runs).  Each call decides once: a
 decision reads the two maxima first, the partial sums at position 1, and
-refutes a pair that fails there with no sort; only a pair that passes
-position 1 is sorted, each input once and values only.  The stable
-tie-broken order is an argsort of its own, made only when a witness, h or a
-permutation is built, and the witness is built from that same sorted data.
-The decision scans the two sorted copies in cache-sized blocks of one
-complex buffer, f's partial sums in its real parts and g's in its imaginary
-parts, with a carried running total, bitwise the sums of one whole-vector
-``cumsum`` of each zero-padded input, and stops at the first block that
-fails.  A decision-only call sorts each input at its own length and writes
-zeros past the shorter one's end, so it makes no padded copy.  A decision
-that will build a witness pads the inputs, sums all n positions into the
-buffer and keeps its two parts as the partial sums h is raised from; h's
-sorted values and order are then read off f's, since h along f's sorted
-order is non-increasing, and h is sorted anew only when rounding breaks
-that order.
+refutes a pair that fails there with no sort; only a pair that passes is
+sorted, each input once and values only.  The stable tie-broken order is an
+argsort of its own, made only when a witness, h or a permutation is built.
+The decision scans the sorted copies in cache-sized blocks of one complex
+buffer, f's partial sums in its real parts and g's in its imaginary parts,
+bitwise the sums of one ``cumsum`` of each zero-padded input, and stops at
+the first block that fails; a decision-only call writes zeros past the
+shorter input's end and makes no padded copy.  A decision that will build a
+witness pads first and keeps the buffer's two parts as the partial sums h
+is raised from; h's sorted values and order are then read off f's, since h
+along f's sorted order is non-increasing, and h is sorted anew only when
+rounding breaks that order.
 The chain itself picks each step from index sets it keeps up to date (j,
 the last position with y - x > eps, on a stack, and the positions with
 y < x, split at j into a buffer gap), so after the sorts it costs amortised
@@ -403,25 +399,22 @@ def _decide(
     whose f peaks more than tol above g returns at once, with records whose
     ``values`` are never built.  top_f - top_g is exact when
     top_g / 2 <= top_f <= 2 top_g (Sterbenz's lemma); otherwise its rounding
-    is monotone, so it orders correctly against the float tol except when it
-    rounds onto tol, which ``math.fsum`` settles exactly.  A pair this
-    accepts passes the scan's position 1 too: top_f <= top_g + tol exactly
-    gives top_f <= fl(top_g + tol).
+    is monotone, so it orders correctly against tol unless it rounds onto
+    tol, which ``math.fsum`` settles.  What this accepts passes the scan's
+    position 1 too: top_f <= top_g + tol gives top_f <= fl(top_g + tol).
 
-    Every other pair is sorted, each input at its own length, and scanned
-    in blocks of ``_BLOCK`` positions of one complex buffer: f's partial
-    sums in the real parts, g's in the imaginary parts.  A block is filled
-    from the two sorted copies, zeros past the shorter one's end, gets the
-    sum carried from the block before at its first position and is summed by
-    one in-place ``cumsum``, the sequential ``add.accumulate``, whose
-    complex add is two independent float64 adds.  So every partial sum, and
-    with it every comparison, ``failed_index`` and message, is bitwise what
-    one ``cumsum`` over each whole zero-padded vector gives, and no padded
-    copy is made.  The scan stops at the first block that holds a failing
-    position.  ``keep_sums``, for a caller that will build a witness, pads
-    the inputs before sorting, so the records are those of the padded
-    vectors, and makes the buffer all n positions; when the relation holds,
-    its real and imaginary parts become the two records' ``sums``.
+    Every other pair is sorted, each input at its own length, and scanned in
+    blocks of ``_BLOCK`` positions of one complex buffer, f's partial sums
+    in the real parts and g's in the imaginary parts.  A block is filled from
+    the sorted copies, zeros past the shorter one's end, gets the carried sum
+    at its first position and is summed by one in-place ``cumsum``, the
+    sequential ``add.accumulate``, whose complex add is two independent
+    float64 adds.  So every partial sum, comparison, ``failed_index`` and
+    message is bitwise what one ``cumsum`` of each zero-padded vector gives.
+    The scan stops at the first block that holds a failing position.
+    ``keep_sums``, for a caller that will build a witness, pads the inputs
+    first and makes the buffer all n positions; when the relation holds, its
+    real and imaginary parts become the two records' ``sums``.
     """
     if tol != tol:
         raise ValueError("tol must not be NaN")
@@ -466,9 +459,7 @@ def _decide(
 
 
 def _require(f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool) -> tuple[_Sorted, _Sorted]:
-    """:func:`_decide` for the witness constructors, with the padded records
-    and kept sums a witness is built from: raise their precondition error on
-    failure."""
+    """:func:`_decide` with ``keep_sums``, raising the witness constructors' precondition error."""
     sf, sg, failed = _decide(f, g, tol, equal_totals, keep_sums=True)
     if failed is not None:
         relation = "majorization" if equal_totals else "weak majorization"
