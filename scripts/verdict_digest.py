@@ -13,8 +13,15 @@ precondition message raised.  The pairs cover
 mixes and scaled mixes of g (majorized and weakly majorized), permutations,
 independent draws, f well above g, f's maximum one ulp below, onto and one
 ulp above fl(max g + tol), all-zero f or g, unequal dimensions in a third of
-the cases, n from 1 to 600 and scales 2^-30, 1 and 2^30.  The last two lines
-printed are the counts and the digest.
+the cases, n from 1 to 600 and scales 2^-30, 1 and 2^30.
+
+A second digest covers pairs at n = 16383, 16385 and 32769, which cross
+the edges of the decision's scan blocks (16384 positions): mixes and scaled
+mixes of g, f one entry short of g or two entries past it, and a failure
+planted at the last position of the first block or the first of the
+second (at n - 1 for n = 16383).  Each runs the 18 checks and the three constructors.  It prints its
+counts and digest first; the last two lines printed are the counts and the
+digest of the K seeded pairs.
 """
 import argparse
 import hashlib
@@ -69,11 +76,32 @@ def _pair(rng, case):
     return NonNegVector(np.maximum(f, 0.0) * scale), NonNegVector(g * scale), tol
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("--pairs", type=int, default=4200)
-    args = parser.parse_args()
+def _block_pairs(rng):
+    """Pairs across the scan's block edges: (f, g, tol) for n = 16383, 16385 and 32769."""
+    for n in (16383, 16385, 32769):
+        for kind in range(6):
+            g = rng.uniform(0, 1, n) * (rng.uniform(size=n) > 0.25)
+            if kind == 0:
+                f = _mixed(rng, g, n)
+            elif kind == 1:
+                f = _mixed(rng, g, n) * rng.uniform(0.5, 1.0, n)
+            elif kind == 2:
+                f = _mixed(rng, g, n - 1)
+            elif kind == 3:
+                f = _mixed(rng, g, n + 2)
+            else:  # g = n, ..., 1 and f moves 1/4 from sorted position p + 1 to p
+                g = np.arange(n, 0, -1, dtype=float)
+                f, p = g.copy(), min(16384 + kind - 4, n - 1)
+                f[p - 1] += 0.25
+                f[p] -= 0.25
+                f = f[rng.permutation(n)]
+            scale = 2.0 ** int(rng.choice([-30, 0, 30]))
+            yield NonNegVector(f * scale), NonNegVector(g * scale), TOLS[kind % 3]
+
+
+def _digest(pairs, every):
+    """The counts and SHA-256 of the verdicts of ``pairs``; every ``every``-th
+    pair also runs the three witness constructors."""
     digest = hashlib.sha256()
     counts = dict.fromkeys(("verdicts", "position_1", "later", "holds", "unequal_dims", "witness_data", "constructors"), 0)
 
@@ -81,9 +109,7 @@ def main() -> None:
         for part in parts:
             digest.update(repr(part).encode() + b"|")
 
-    rng = np.random.default_rng(args.seed)
-    for case in range(args.pairs):
-        f, g, pair_tol = _pair(rng, case)
+    for case, (f, g, pair_tol) in enumerate(pairs):
         counts["unequal_dims"] += f.dim != g.dim
         for tol in TOLS:
             for check in CHECKS:
@@ -99,7 +125,7 @@ def main() -> None:
                         if v.witness.n <= 12:
                             counts["witness_data"] += 1
                             feed(v.witness.data.tobytes())
-        if case % 10 == 0:
+        if case % every == 0:
             for build in (hlp_witness, weak_witness, intermediate_h):
                 counts["constructors"] += 1
                 try:
@@ -111,8 +137,21 @@ def main() -> None:
                         feed(build.__name__, out.steps, out.pre_perm, out.post_perm)
                     else:
                         feed(build.__name__, (out.values if build is intermediate_h else out.row_sums).tobytes())
-    print(counts)
-    print(digest.hexdigest())
+    return counts, digest.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--pairs", type=int, default=4200)
+    args = parser.parse_args()
+    rng = np.random.default_rng(args.seed)
+    for counts, digest in (
+        _digest(_block_pairs(np.random.default_rng([args.seed, 16384])), 1),
+        _digest((_pair(rng, case) for case in range(args.pairs)), 10),
+    ):
+        print(counts)
+        print(digest)
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ standard library and numpy.  For each n it draws the perfbench weak pair
 ``weak_pair(default_rng([1, 1]), n)`` and times, best of at least
 ``--repeats`` calls and of as many as fit in 0.25 s:
 
-* ``sort``: the two values-only sorts (``_Sorted``);
+* ``sort``: the two values-only sorts (``_Sorted``, which sorts as it is
+  made);
 * ``decide``: the whole decision as a witness-building call runs it
-  (``_decide`` with ``keep_sums``: both sorts and the scan, which keeps
-  the whole-vector partial sums);
-* ``raised``: the intermediate h (``_raised``, on the decision's sums);
+  (``_decide`` on the zero-padded pair: both sorts and the blocked scan);
+* ``raised``: the intermediate h (``_raised``, with the partial sums of the
+  two sorted copies);
 * ``orders``: the two stable orders (of f and of g);
 * ``h_record``: h's sorted record, derived from f's (``_raised_record``);
 * ``chain``: the T-transform chain for h against g (``_hlp_chain``);
@@ -21,9 +22,9 @@ standard library and numpy.  For each n it draws the perfbench weak pair
 * ``check_submajorize``: the public call, end to end;
 
 and, in a separate run, the tracemalloc peak of ``check_submajorize``.
-Stages that read a cached result (an order, the partial sums) run on fresh
-sorted records, so each repeat pays for its own; ``raised`` and ``h_record``
-are given f's order and the sums already made, as the weak witness has
+Stages that read a cached order run on fresh sorted records, so each
+repeat pays for its own; ``raised`` and ``h_record`` are given the
+decision's records with f's order already made, as the weak witness has
 them.  The last line of standard output is one JSON object: per n the times
 in ms, the steps, the peak in MB and in units of 8n bytes, and per decade
 the ratio of each time and of the peak.
@@ -45,6 +46,7 @@ from perfbench.inputs import TOL, weak_pair  # noqa: E402
 from submaj import NonNegVector, check_submajorize  # noqa: E402
 from submaj.matrices import apply  # noqa: E402
 from submaj.relations import _ChainMatrix, _decide, _hlp_chain, _raised, _raised_record, _Sorted  # noqa: E402
+from submaj.vectors import common_dim  # noqa: E402
 
 
 def _best(run, repeats, prepare=lambda: ()):
@@ -65,7 +67,7 @@ def _best(run, repeats, prepare=lambda: ()):
 
 def _decided(fv, gv):
     """The two sorted records of a witness-building decision, with f's order read."""
-    sf, sg, _ = _decide(fv, gv, TOL, False, keep_sums=True)
+    sf, sg, _ = _decide(*common_dim(fv, gv), TOL, False)
     sf.order
     return sf, sg
 
@@ -81,7 +83,7 @@ def measure(n: int, repeats: int) -> dict:
     w = _ChainMatrix(steps, sh.order, sg.order, TOL, scales)
     ms = {
         "sort": _best(lambda: (_Sorted(f), _Sorted(g)), repeats),
-        "decide": _best(lambda: _decide(fv, gv, TOL, False, keep_sums=True), repeats),
+        "decide": _best(lambda: _decide(*common_dim(fv, gv), TOL, False), repeats),
         "raised": _best(_raised, repeats, lambda: _decided(fv, gv)),
         "orders": _best(lambda *s: [x.order for x in s], repeats, lambda: (_Sorted(f), _Sorted(g))),
         "h_record": _best(lambda sf: _raised_record(h, sf), repeats, lambda: _decided(fv, gv)[:1]),

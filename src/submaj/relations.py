@@ -24,13 +24,13 @@ sorted, each input once and values only.  The stable tie-broken order is an
 argsort of its own, made only when a witness, h or a permutation is built.
 The decision scans the sorted copies in cache-sized blocks of one complex
 buffer, f's partial sums in its real parts and g's in its imaginary parts,
-bitwise the sums of one ``cumsum`` of each zero-padded input, and stops at
-the first block that fails; a decision-only call writes zeros past the
-shorter input's end and makes no padded copy.  A decision that will build a
-witness pads first and keeps the buffer's two parts as the partial sums h
-is raised from; h's sorted values and order are then read off f's, since h
-along f's sorted order is non-increasing, and h is sorted anew only when
-rounding breaks that order.
+bitwise the sums of one ``cumsum`` of each zero-padded input, writes zeros
+past the shorter input's end, so it makes no padded copy, and stops at the
+first block that fails.  A call that builds a witness pads first; h is
+raised from one ``cumsum`` of each sorted copy, bitwise the decision's
+sums, and h's sorted values and order are read off f's, since h along f's
+sorted order is non-increasing, and h is sorted anew only when rounding
+breaks that order.
 The chain itself picks each step from index sets it keeps up to date (j,
 the last position with y - x > eps, on a stack, and the positions with
 y < x, split at j into a buffer gap), so after the sorts it costs amortised
@@ -69,6 +69,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -310,41 +311,27 @@ class _ChainMatrix(StochMatrix):
 
 
 class _Sorted:
-    """A vector sorted at most once: the vector and, on first read, its
-    non-increasing values, from one values-only sort of a copy.
-
-    ``values`` is built on its first read, so a decision refuted at position
-    1 from the two maxima (:func:`_decide`) makes no sorted copy.
-    ``order``, the stable non-increasing order (0-based, ties by ascending
-    index), is computed on first use: a decision needs only the values, and
-    only code that un-sorts (a witness, h, a permutation) reads the order.
-    It is numpy's default (SIMD) argsort of -raw with the tie runs of
-    ``values`` put in index order (:func:`_ties_by_index`).  ``raw[order]``
-    equals ``values`` bitwise for any ``raw`` without -0.0, which a
-    NonNegVector never stores.  ``sums``, the partial sums of ``values``,
-    are kept by a decision that will build a witness (:func:`_decide` with
-    ``keep_sums``), for :func:`_raised`; otherwise they are built on
-    first use.  All three are kept in the instance's dict, so later reads
-    never reach ``__getattr__``.  The weak witness makes h's record from f's
-    (:func:`_raised_record`), with no sort of h.
+    """A vector sorted once: ``raw``, its non-increasing ``values`` from one
+    values-only sort of a copy, and ``order``, the stable non-increasing
+    order (0-based, ties by ascending index), made on first read: a decision
+    needs only the values, and only code that un-sorts (a witness, h, a
+    permutation) reads the order.  It is numpy's default (SIMD) argsort of
+    -raw with the tie runs of ``values`` put in index order
+    (:func:`_ties_by_index`).  ``raw[order]`` equals ``values`` bitwise for
+    any ``raw`` without -0.0, which a NonNegVector never stores.  The weak
+    witness makes h's record from f's (:func:`_raised_record`), with no sort
+    of h.
     """
 
     def __init__(self, raw: np.ndarray) -> None:
         self.raw = raw
+        values = raw.copy()
+        values.sort()
+        self.values = values[::-1]
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name == "values":
-            value = self.raw.copy()
-            value.sort()
-            value = value[::-1]
-        elif name == "sums":
-            value = np.cumsum(self.values)
-        elif name == "order":
-            value = _ties_by_index(np.argsort(-self.raw), self.values)
-        else:
-            raise AttributeError(name)
-        vars(self)[name] = value
-        return value
+    @cached_property
+    def order(self) -> np.ndarray:
+        return _ties_by_index(np.argsort(-self.raw), self.values)
 
 
 def _ties_by_index(order: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -383,8 +370,8 @@ _BLOCK = 16384
 
 
 def _decide(
-    f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool, keep_sums: bool = False
-) -> tuple[_Sorted, _Sorted, Optional[RelationVerdict]]:
+    f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool
+) -> tuple[Optional[_Sorted], Optional[_Sorted], Optional[RelationVerdict]]:
     """Test sorted-partial-sum dominance of the zero-padded f and g, sorting
     each once, and only past position 1.
 
@@ -396,8 +383,8 @@ def _decide(
     Position 1's partial sums are the two maxima, so they are read first,
     with two O(n) ``max`` calls on the inputs as given (zero padding moves
     neither maximum of nonnegative entries), and compared exactly: a pair
-    whose f peaks more than tol above g returns at once, with records whose
-    ``values`` are never built.  top_f - top_g is exact when
+    whose f peaks more than tol above g returns at once, as (None, None,
+    verdict), with no record built.  top_f - top_g is exact when
     top_g / 2 <= top_f <= 2 top_g (Sterbenz's lemma); otherwise its rounding
     is monotone, so it orders correctly against tol unless it rounds onto
     tol, which ``math.fsum`` settles.  What this accepts passes the scan's
@@ -411,10 +398,9 @@ def _decide(
     sequential ``add.accumulate``, whose complex add is two independent
     float64 adds.  So every partial sum, comparison, ``failed_index`` and
     message is bitwise what one ``cumsum`` of each zero-padded vector gives.
-    The scan stops at the first block that holds a failing position.
-    ``keep_sums``, for a caller that will build a witness, pads the inputs
-    first and makes the buffer all n positions; when the relation holds, its
-    real and imaginary parts become the two records' ``sums``.
+    The scan stops at the first block that holds a failing position.  A
+    caller that builds a witness pads the inputs first, so the records have
+    equal lengths.
     """
     if tol != tol:
         raise ValueError("tol must not be NaN")
@@ -422,18 +408,14 @@ def _decide(
     gap = top_f - top_g
     if gap > tol or gap == tol and math.fsum((top_f, -top_g, -tol)) > 0:
         message = f"sorted partial sums fail at position 1: {top_f:.12g} > {top_g:.12g}"
-        failed = RelationVerdict(holds=False, failed_index=1, message=message)
-        return _Sorted(f.values), _Sorted(g.values), failed
-    if keep_sums:
-        f, g = common_dim(f, g)
+        return None, None, RelationVerdict(holds=False, failed_index=1, message=message)
     sf, sg = _Sorted(f.values), _Sorted(g.values)
     n = max(f.dim, g.dim)
     size = min(n, _BLOCK)
-    sums = np.empty(n if keep_sums else size, dtype=complex)
-    bound, above = np.empty(size), np.empty(size, dtype=bool)
+    block, bound, above = np.empty(size, dtype=complex), np.empty(size), np.empty(size, dtype=bool)
     for start in range(0, n, size):
         stop = min(start + size, n)
-        block = sums[start:stop] if keep_sums else sums[: stop - start]
+        block, bound, above = block[: stop - start], bound[: stop - start], above[: stop - start]
         for part, values in ((block.real, sf.values), (block.imag, sg.values)):
             head = values[start:stop]
             part[: head.size] = head
@@ -441,7 +423,6 @@ def _decide(
         if start:
             block[0] += carry
         block.cumsum(out=block)
-        bound, above = bound[: block.size], above[: block.size]
         np.add(block.imag, tol, out=bound)
         np.greater(block.real, bound, out=above)
         k = int(above.argmax())  # the first True, or 0 if there is none
@@ -453,14 +434,12 @@ def _decide(
     if equal_totals and abs(carry.real - carry.imag) > tol:
         message = f"totals differ at position {n}: {carry.real:.12g} vs {carry.imag:.12g}"
         return sf, sg, RelationVerdict(holds=False, failed_index=n, message=message)
-    if keep_sums:
-        vars(sf)["sums"], vars(sg)["sums"] = sums.real, sums.imag
     return sf, sg, None
 
 
 def _require(f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool) -> tuple[_Sorted, _Sorted]:
-    """:func:`_decide` with ``keep_sums``, raising the witness constructors' precondition error."""
-    sf, sg, failed = _decide(f, g, tol, equal_totals, keep_sums=True)
+    """:func:`_decide` on the zero-padded pair, raising the witness constructors' precondition error."""
+    sf, sg, failed = _decide(*common_dim(f, g), tol, equal_totals)
     if failed is not None:
         relation = "majorization" if equal_totals else "weak majorization"
         raise ValueError(f"{relation} precondition fails: {failed.message}")
@@ -474,7 +453,9 @@ def check_majorize(
     with_witness: bool = True,
 ) -> RelationVerdict:
     """Decide f majorized by g; certify with a doubly stochastic witness."""
-    sf, sg, failed = _decide(f, g, tol, equal_totals=True, keep_sums=with_witness)
+    if with_witness:
+        f, g = common_dim(f, g)
+    sf, sg, failed = _decide(f, g, tol, equal_totals=True)
     if failed is not None:
         return failed
     witness = _ChainMatrix(_hlp_chain(sf, sg, tol), sf.order, sg.order, tol) if with_witness else None
@@ -488,7 +469,9 @@ def check_weak_majorize(
     with_witness: bool = True,
 ) -> RelationVerdict:
     """Decide f weakly majorized by g; certify with a doubly substochastic witness."""
-    sf, sg, failed = _decide(f, g, tol, equal_totals=False, keep_sums=with_witness)
+    if with_witness:
+        f, g = common_dim(f, g)
+    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
     if failed is not None:
         return failed
     witness = _weak_factors(sf, sg, tol)[0] if with_witness else None
@@ -516,7 +499,9 @@ def check_submajorize(
     n x n arrays are built on the first read of ``data`` (D1's once for
     both) and then kept; at large n that read allocates n^2 floats.
     """
-    sf, sg, failed = _decide(f, g, tol, equal_totals=False, keep_sums=with_witness)
+    if with_witness:
+        f, g = common_dim(f, g)
+    sf, sg, failed = _decide(f, g, tol, equal_totals=False)
     if failed is not None:
         return failed
     message = "submajorization holds (finite collapse to the weak relation)"
@@ -655,12 +640,14 @@ def intermediate_h(f: NonNegVector, g: NonNegVector, tol: float = DEFAULT_CLASS_
 
 
 def _raised(sf: _Sorted, sg: _Sorted) -> np.ndarray:
-    """The values of :func:`intermediate_h`, in original coordinates."""
-    deficit = max(0.0, float(sg.sums[-1] - sf.sums[-1]))
+    """The values of :func:`intermediate_h`, in original coordinates.  The
+    partial sums are bitwise the decision's (see :func:`_decide`)."""
+    fs, gs = np.cumsum(sf.values), np.cumsum(sg.values)
+    deficit = max(0.0, float(gs[-1] - fs[-1]))
     # A raise at sorted position k lifts every later partial sum of f by the
     # same amount, so the total raised through k is the least headroom of g
     # over positions k..n, capped by the deficit.
-    headroom = np.minimum.accumulate((sg.sums - sf.sums)[::-1])[::-1]
+    headroom = np.minimum.accumulate((gs - fs)[::-1])[::-1]
     total = np.minimum(np.maximum(headroom, 0.0), deficit)  # no NaN, no -0.0: np.clip's bits
     raised = np.empty_like(total)
     raised[0] = total[0]

@@ -333,10 +333,9 @@ class TestValuesOnlySort:
             f, g = _differential_pair(rng, case)
             f2, g2 = common_dim(f, g)
             for raw in (f2.values, g2.values):
-                order, values, sums = _stable_sort_reference(raw)
+                order, values, _ = _stable_sort_reference(raw)
                 got = submaj.relations._Sorted(raw)
                 assert got.values.tobytes() == values.tobytes()
-                assert got.sums.tobytes() == sums.tobytes()
                 assert np.array_equal(got.order, order)
             for check, (equal_totals, holds_message) in _HOLDS.items():
                 holds, failed_index, message = _decide_reference(f, g, DEFAULT_CLASS_TOL, equal_totals)
@@ -479,31 +478,37 @@ class TestBlockedScan:
             assert peak < 2.25 * 8 * n, (check, peak / (8 * n))
 
     def test_only_the_weak_witness_builds_partial_sums(self, monkeypatch):
-        made = []
+        made, raised = [], []
+        raise_h = submaj.relations._raised
 
         class Recorded(submaj.relations._Sorted):
             def __init__(self, raw):
                 super().__init__(raw)
                 made.append(self)
 
+        def recorded_raise(sf, sg):
+            raised.append((sf, sg))
+            return raise_h(sf, sg)
+
         monkeypatch.setattr(submaj.relations, "_Sorted", Recorded)
+        monkeypatch.setattr(submaj.relations, "_raised", recorded_raise)
         f, g = V(0.5, 0.25, 0.0), V(1.0, 0.0, 0.0)
         for run in (
             lambda: submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals=False),
+            lambda: check_weak_majorize(f, g, with_witness=False),
+            lambda: check_submajorize(f, g, with_witness=False),
+            lambda: check_majorize(V(0.5, 0.5), V(1.0, 0.0)),
+            lambda: hlp_witness(V(0.5, 0.5), V(1.0, 0.0)),
             lambda: strict_permutation(f, g),
             lambda: strict_permutation(g, g),
             lambda: partial_permutation(f, f),
         ):
             made.clear()
             run()
-            assert len(made) == 2 and all("sums" not in vars(s) for s in made)
-        for check in (check_weak_majorize, check_submajorize):
-            made.clear()
-            check(f, g, with_witness=False)
-            assert len(made) == 2 and all("sums" not in vars(s) for s in made)
-        # A witness-building decision keeps both sums for _raised, and h's
-        # record comes from f's: two records made through __init__, unless
-        # rounding breaks f's order and h is sorted too.
+            assert len(made) == 2 and not raised
+        # A weak witness raises h once, from the decision's two records, and
+        # h's record comes from f's: two records made through __init__,
+        # unless rounding breaks f's order and h is sorted too.
         for run in (
             lambda: check_weak_majorize(f, g),
             lambda: check_submajorize(f, g),
@@ -511,31 +516,37 @@ class TestBlockedScan:
             lambda: intermediate_h(f, g),
         ):
             made.clear()
+            raised.clear()
             run()
-            assert len(made) == 2 and all("sums" in vars(s) for s in made)
+            assert len(made) == 2 and raised == [tuple(made)]
         fallback = [NonNegVector(v) for v in _fallback_pair()]
         made.clear()
+        raised.clear()
         check_submajorize(*fallback)
-        assert len(made) == 3 and all("sums" in vars(s) for s in made[:2])
+        assert len(made) == 3 and raised == [tuple(made[:2])]
         assert np.array_equal(made[2].raw, intermediate_h(*fallback).values)
 
     @pytest.mark.parametrize("n", [16383, 16384, 16385, 2 * 16384 + 1])
-    def test_a_witness_building_decision_keeps_the_whole_vector_sums(self, n):
-        # The blocks are written into the kept arrays, so each sum is
-        # bitwise what one cumsum gives; a failing decision keeps none.
+    def test_h_and_w_at_block_edges_match_the_padded_reference(self, n):
+        # h is raised from one cumsum of each sorted copy, not from the
+        # scan's blocks; both must be bitwise the closed form on the stable
+        # sort and whole-vector sums of the zero-padded pair, with f one
+        # entry short of g.
         assert submaj.relations._BLOCK == 16384
         rng = np.random.default_rng(n)
         g = rng.uniform(0, 1, n)
-        f = NonNegVector(0.9 * g[rng.permutation(n)])
+        f = NonNegVector(0.9 * g[rng.permutation(n)][: n - 1])
         g = NonNegVector(g)
-        sf, sg, failed = submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals=False, keep_sums=True)
-        assert failed is None
-        for s in (sf, sg):
-            assert vars(s)["sums"].tobytes() == np.cumsum(s.values).tobytes()
-        sf, sg, failed = submaj.relations._decide(g, f, DEFAULT_CLASS_TOL, equal_totals=False, keep_sums=True)
-        assert failed is not None and "sums" not in vars(sf) and "sums" not in vars(sg)
-        sf, sg, failed = submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals=False)
-        assert failed is None and "sums" not in vars(sf) and "sums" not in vars(sg)
+        fv = f.padded(n).values
+        order, x, fs = _stable_sort_reference(fv)
+        gs = _stable_sort_reference(g.values)[2]
+        total = np.clip(np.minimum.accumulate((gs - fs)[::-1])[::-1], 0.0, gs[-1] - fs[-1])
+        want = np.empty(n)
+        want[order] = x + np.diff(total, prepend=0.0)
+        assert intermediate_h(f, g).values.tobytes() == want.tobytes()
+        scales = np.divide(fv, want, out=np.ones(n), where=want > 0)
+        for witness in (weak_witness(f, g), check_weak_majorize(f, g).witness, check_submajorize(f, g).witness):
+            assert witness.row_sums.tobytes() == scales.tobytes()
 
 
 def _position_one_pairs():
@@ -571,19 +582,13 @@ def _position_one_pairs():
 
 
 class _CountedSorted(submaj.relations._Sorted):
-    """A record that lists itself in ``made`` and counts its ``values`` builds."""
+    """A record that lists itself in ``made``: one entry per values-only sort."""
 
     made = []
 
     def __init__(self, raw):
         super().__init__(raw)
-        self.sorts = 0
         self.made.append(self)
-
-    def __getattr__(self, name):
-        if name == "values":
-            vars(self)["sorts"] += 1
-        return super().__getattr__(name)
 
 
 class TestPositionOneRefutation:
@@ -639,44 +644,36 @@ class TestPositionOneRefutation:
         monkeypatch.setattr(submaj.relations, "_Sorted", _CountedSorted)
         made = _CountedSorted.made
         f, g = V(2.0, 0.5, 0.0), V(1.0, 1.0)  # unequal dimensions
-        for keep_sums in (False, True):
-            for equal_totals in (False, True):
-                made.clear()
-                _, _, failed = submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals, keep_sums)
-                assert failed.failed_index == 1
-                assert len(made) == 2
-                assert all("values" not in vars(s) and "sums" not in vars(s) and s.sorts == 0 for s in made)
-        for run in (
-            lambda: check_majorize(f, g),
-            lambda: check_weak_majorize(f, g),
-            lambda: check_submajorize(f, g, with_witness=False),
-        ):
-            made.clear()
-            assert run().failed_index == 1
-            assert len(made) == 2 and all(s.sorts == 0 for s in made)
+        made.clear()
+        for equal_totals in (False, True):
+            sf, sg, failed = submaj.relations._decide(f, g, DEFAULT_CLASS_TOL, equal_totals)
+            assert (sf, sg, failed.failed_index) == (None, None, 1)
+        for check in _HOLDS:
+            for with_witness in (True, False):
+                assert check(f, g, with_witness=with_witness).failed_index == 1
         for build in (hlp_witness, weak_witness, intermediate_h):
-            made.clear()
             with pytest.raises(ValueError, match="precondition fails: sorted partial sums fail at position 1"):
                 build(f, g)
-            assert len(made) == 2 and all(s.sorts == 0 for s in made)
+        assert made == []
 
     def test_a_decision_past_position_one_sorts_each_input_once(self, monkeypatch):
         monkeypatch.setattr(submaj.relations, "_Sorted", _CountedSorted)
         made = _CountedSorted.made
-        f, g = V(0.5, 0.25, 0.0), V(1.0, 0.0, 0.0)
-        for run in (
-            lambda: check_majorize(f, g, with_witness=False),  # fails at the totals
-            lambda: check_majorize(V(0.5, 0.5), V(1.0, 0.0)),
-            lambda: check_weak_majorize(f, g),
-            lambda: check_submajorize(f, g),
-            lambda: check_submajorize(f, g, with_witness=False),
-            lambda: hlp_witness(V(0.5, 0.5), V(1.0, 0.0)),
-            lambda: weak_witness(f, g),
-            lambda: intermediate_h(f, g),
+        # Each record sorts its input once, and h's record is read off f's.
+        f, g = V(0.5, 0.25), V(1.0, 0.0, 0.0)  # f is padded only for a witness
+        for run, inputs in (
+            (lambda: check_majorize(f, g, with_witness=False), (f.values, g.values)),  # fails at the totals
+            (lambda: check_majorize(V(0.5, 0.5), V(1.0, 0.0)), ([0.5, 0.5], [1.0, 0.0])),
+            (lambda: check_weak_majorize(f, g), (f.padded(3).values, g.values)),
+            (lambda: check_submajorize(f, g), (f.padded(3).values, g.values)),
+            (lambda: check_submajorize(f, g, with_witness=False), (f.values, g.values)),
+            (lambda: hlp_witness(V(0.5, 0.5), V(1.0, 0.0)), ([0.5, 0.5], [1.0, 0.0])),
+            (lambda: weak_witness(f, g), (f.padded(3).values, g.values)),
+            (lambda: intermediate_h(f, g), (f.padded(3).values, g.values)),
         ):
             made.clear()
             run()
-            assert len(made) >= 2 and [s.sorts for s in made[:2]] == [1, 1]
+            assert [s.raw.tolist() for s in made] == [list(v) for v in inputs]
 
     def test_a_position_one_failure_at_n_1e6_makes_no_sorted_copy(self):
         n = 10**6
@@ -859,7 +856,7 @@ class TestHlpWitness:
                     assert np.array_equal(verdict.certificate.completion.data, before_completion)
                 # The chain from the (raised) f itself: steps and product.
                 h = f if check is check_majorize else intermediate_h(f, g)
-                sh, sg, _ = submaj.relations._decide(h, g, DEFAULT_CLASS_TOL, equal_totals=True, keep_sums=True)
+                sh, sg, _ = submaj.relations._decide(*common_dim(h, g), DEFAULT_CLASS_TOL, equal_totals=True)
                 steps, product = _accumulator_hlp_chain(sh, sg, DEFAULT_CLASS_TOL)
                 chain = hlp_witness(h, g)
                 assert [tuple(step) for step in chain.steps] == list(steps)
@@ -1557,6 +1554,34 @@ def test_submajorize_peak_is_linear_in_n(monkeypatch):
         tracemalloc.stop()
     assert verdict.holds and verdict.certificate is not None
     assert peak < 64 * 2**20
+
+
+def test_witness_peaks_at_n_1e5_hold_no_partial_sum_buffer():
+    # A witness-building decision once kept an n-length complex buffer of
+    # both inputs' partial sums (2 x 8n bytes) while the witness was built;
+    # h's sums are now made in _raised and freed there.  Peaks in units of
+    # 8n bytes with that buffer / without it: check_majorize 33.5 / 31.5 on
+    # the majorization pair and 4.2 / 2.5 on the weak pair, which fails at
+    # the totals; check_submajorize 31.7 / 29.7 and 37.5 / 35.5.  Each gate
+    # lies halfway.
+    from perfbench import inputs
+
+    n = 10**5
+    for make, check, holds, gate in (
+        (inputs.major_pair, check_majorize, True, 32.5),
+        (inputs.weak_pair, check_majorize, False, 3.35),
+        (inputs.weak_pair, check_submajorize, True, 30.7),
+        (inputs.major_pair, check_submajorize, True, 36.5),
+    ):
+        f, g = (NonNegVector(v) for v in make(np.random.default_rng([1, 1]), n))
+        tracemalloc.start()
+        try:
+            verdict = check(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds is holds
+        assert peak < gate * 8 * n, (make.__name__, check.__name__, peak / (8 * n))
 
 
 def test_submajorize_at_n_2000_runs_no_dense_classification_or_dominance_scan(monkeypatch):
