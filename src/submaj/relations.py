@@ -24,10 +24,10 @@ sorted, each input once and values only.  The stable tie-broken order is an
 argsort of its own, made only when a witness, h or a permutation is built.
 The decision scans the sorted copies in cache-sized blocks of one complex
 buffer, f's partial sums in its real parts and g's in its imaginary parts,
-bitwise the sums of one ``cumsum`` of each zero-padded input, writes zeros
-past the shorter input's end, so it makes no padded copy, and stops at the
-first block that fails.  A call that builds a witness pads first; h is
-raised from one ``cumsum`` of each sorted copy, bitwise the decision's
+bitwise the sums of one ``cumsum`` of each zero-padded input.  It writes
+zeros past the shorter input's end, so it makes no padded copy, and stops
+at the first block that fails.  A call that builds a witness pads first; h
+is raised from one ``cumsum`` of each sorted copy, bitwise the decision's
 sums, and h's sorted values and order are read off f's, since h along f's
 sorted order is non-increasing, and h is sorted anew only when rounding
 breaks that order.
