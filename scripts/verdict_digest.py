@@ -22,6 +22,18 @@ planted at the last position of the first block or the first of the
 second (at n - 1 for n = 16383).  Each runs the 18 checks and the three constructors.  It prints its
 counts and digest first; the last two lines printed are the counts and the
 digest of the K seeded pairs.
+
+A third digest, printed before both, covers the preserver layer over
+seeded specs at the placement edges: quadratic, triangular and random
+families, zero weights, p = 1 specs with constant rows on spare indices,
+windows that stop below the top image and columns below the domain, a of
+0, 1 or uniform, and S's truncation at or above its top image.  It takes in
+the bytes of ``build_preserver``'s coordinate arrays, the verdict and
+reason of both classifiers at tol 1e-9, 0 and 0.3 on the build and on a
+copy with one entry scaled by 3/2 and one stray entry, the bytes of
+``apply`` on a seeded vector, the cells of ``construct_S`` and the
+``validate_family`` verdicts of the family and of a copy with one image
+repeated.
 """
 import argparse
 import hashlib
@@ -29,6 +41,21 @@ import hashlib
 import numpy as np
 
 from submaj import NonNegVector
+from submaj.demos import quadratic_family, triangular_family
+from submaj.matrices import vonneumann_complete
+from submaj.preservers import (
+    Injection,
+    InjectionFamily,
+    PreserverSpec,
+    TruncatedOperator,
+    build_preserver,
+    classify_preserver_l1,
+    classify_preserver_lp,
+    construct_S,
+    preservation_rows_needed,
+    random_injection_family,
+    validate_family,
+)
 from submaj.relations import (
     check_majorize,
     check_submajorize,
@@ -37,6 +64,7 @@ from submaj.relations import (
     intermediate_h,
     weak_witness,
 )
+from submaj.sampling import random_doubly_substochastic
 
 CHECKS = (check_majorize, check_weak_majorize, check_submajorize)
 TOLS = (1e-9, 0.0, 0.125)
@@ -140,6 +168,75 @@ def _digest(pairs, every):
     return counts, digest.hexdigest()
 
 
+def _specs(rng, count):
+    """Seeded (spec, rows, cols, cert, a, truncate) across the placement edges."""
+    for case in range(count):
+        members, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        if case % 3 == 0:
+            family = quadratic_family(members, m)
+        elif case % 3 == 1:
+            family = triangular_family(members, m)
+        else:
+            family = random_injection_family(rng, members, m, members * m + int(rng.integers(0, 12)))
+        weights = rng.uniform(0.1, 2.0, members) * (rng.uniform(size=members) > 0.3)
+        top = max(family.union_image())
+        constant_row = None
+        if case % 2 == 0:
+            spare = [i for i in range(1, top + 3) if i not in family.union_image()]
+            h = np.zeros(top + 2)
+            h[rng.choice(spare, size=min(len(spare), int(rng.integers(1, 4))), replace=False) - 1] = rng.uniform(0.1, 1)
+            constant_row = NonNegVector(h)
+        spec = PreserverSpec(p=1.0 if case % 2 == 0 else 2.0, weights=tuple(weights), family=family,
+                             constant_row=constant_row)
+        cols = m if rng.uniform() < 0.5 else int(rng.integers(1, m + 1))
+        rows = preservation_rows_needed(spec, cols) if rng.uniform() < 0.5 else int(rng.integers(1, top + 3))
+        cert = vonneumann_complete(random_doubly_substochastic(rng, m))
+        a = (0.0, 1.0, float(rng.uniform()))[int(rng.integers(0, 3))]
+        truncate = None if rng.uniform() < 0.5 else top + int(rng.integers(0, 6))
+        yield spec, rows, cols, cert, a, truncate
+
+
+def _preserver_digest(rng, count):
+    """The counts and SHA-256 of the preserver layer on ``count`` seeded specs."""
+    digest = hashlib.sha256()
+    counts = dict.fromkeys(("specs", "cells", "accepted", "rejected", "constant_rows", "collisions"), 0)
+
+    def feed(*parts):
+        for part in parts:
+            digest.update(repr(part).encode() + b"|")
+
+    def cells(t):
+        return t.rows, t.cols, t._i.tobytes(), t._j.tobytes(), t._v.tobytes()
+
+    for spec, rows, cols, cert, a, truncate in _specs(rng, count):
+        counts["specs"] += 1
+        counts["constant_rows"] += spec.constant_row is not None
+        t = build_preserver(spec, rows, cols)
+        counts["cells"] += t._v.size
+        feed(cells(t))
+        changed = dict(t.entries)
+        if changed:
+            key = list(changed)[int(rng.integers(len(changed)))]
+            changed[key] *= 1.5
+        changed[(int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1)))] = float(rng.uniform(0.1, 1))
+        for op in (t, TruncatedOperator(rows=rows, cols=cols, entries=changed)):
+            for tol in (1e-9, 0.0, 0.3):
+                for classify in (classify_preserver_lp, classify_preserver_l1):
+                    verdict = classify(op, tol)
+                    counts["accepted" if verdict.accepted else "rejected"] += 1
+                    feed(classify.__name__, tol, verdict.accepted, verdict.reason)
+        f = rng.uniform(0, 2, cols) * (rng.uniform(size=cols) > 0.3)
+        feed(t.apply(NonNegVector(f)).values.tobytes())
+        feed(cells(construct_S(cert, spec.family, a, truncate=truncate)))
+        members = spec.family.members
+        repeated = [Injection((members[0].mapping[0], *range(10**6, 10**6 + len(members[0].mapping) - 1)))]
+        for family in (spec.family, InjectionFamily(tuple(members) + tuple(repeated))):
+            verdict = validate_family(family)
+            counts["collisions"] += not verdict.valid
+            feed(verdict.valid, verdict.collision)
+    return counts, digest.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2024)
@@ -147,6 +244,7 @@ def main() -> None:
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
     for counts, digest in (
+        _preserver_digest(np.random.default_rng([args.seed, 3]), 600),
         _digest(_block_pairs(np.random.default_rng([args.seed, 16384])), 1),
         _digest((_pair(rng, case) for case in range(args.pairs)), 10),
     ):

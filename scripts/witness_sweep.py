@@ -11,7 +11,8 @@ standard library and numpy.  For each n it draws the perfbench weak pair
 * ``sort``: the two values-only sorts (``_Sorted``, which sorts as it is
   made);
 * ``decide``: the whole decision as a witness-building call runs it
-  (``_decide`` on the zero-padded pair: both sorts and the blocked scan);
+  (``_decide`` on the pair as given, both sorts and the blocked scan, then
+  ``_padded``, the two records padded to one length);
 * ``raised``: the intermediate h (``_raised``, with the partial sums of the
   two sorted copies);
 * ``orders``: the two stable orders (of f and of g);
@@ -45,8 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench.inputs import TOL, weak_pair  # noqa: E402
 from submaj import NonNegVector, check_submajorize  # noqa: E402
 from submaj.matrices import apply  # noqa: E402
-from submaj.relations import _ChainMatrix, _decide, _hlp_chain, _raised, _raised_record, _Sorted  # noqa: E402
-from submaj.vectors import common_dim  # noqa: E402
+from submaj.relations import _ChainMatrix, _decide, _hlp_chain, _padded, _raised, _raised_record, _Sorted  # noqa: E402
 
 
 def _best(run, repeats, prepare=lambda: ()):
@@ -67,7 +67,7 @@ def _best(run, repeats, prepare=lambda: ()):
 
 def _decided(fv, gv):
     """The two sorted records of a witness-building decision, with f's order read."""
-    sf, sg, _ = _decide(*common_dim(fv, gv), TOL, False)
+    sf, sg = _padded(*_decide(fv, gv, TOL, False)[:2])
     sf.order
     return sf, sg
 
@@ -83,7 +83,7 @@ def measure(n: int, repeats: int) -> dict:
     w = _ChainMatrix(steps, sh.order, sg.order, TOL, scales)
     ms = {
         "sort": _best(lambda: (_Sorted(f), _Sorted(g)), repeats),
-        "decide": _best(lambda: _decide(*common_dim(fv, gv), TOL, False), repeats),
+        "decide": _best(lambda: _padded(*_decide(fv, gv, TOL, False)[:2]), repeats),
         "raised": _best(_raised, repeats, lambda: _decided(fv, gv)),
         "orders": _best(lambda *s: [x.order for x in s], repeats, lambda: (_Sorted(f), _Sorted(g))),
         "h_record": _best(lambda sf: _raised_record(h, sf), repeats, lambda: _decided(fv, gv)[:1]),

@@ -26,7 +26,8 @@ The decision scans the sorted copies in cache-sized blocks of one complex
 buffer, f's partial sums in its real parts and g's in its imaginary parts,
 bitwise the sums of one ``cumsum`` of each zero-padded input.  It writes
 zeros past the shorter input's end, so it makes no padded copy, and stops
-at the first block that fails.  A call that builds a witness pads first; h
+at the first block that fails.  A call that builds a witness pads the two
+records only after a holding decision (:meth:`_Sorted.pad`); h
 is raised from one ``cumsum`` of each sorted copy, bitwise the decision's
 sums, and h's sorted values and order are read off f's, since h along f's
 sorted order is non-increasing, and h is sorted anew only when rounding
@@ -333,6 +334,17 @@ class _Sorted:
     def order(self) -> np.ndarray:
         return _ties_by_index(np.argsort(-self.raw), self.values)
 
+    def pad(self, n: int) -> None:
+        """Zero-pad the record to n entries in place, before ``order`` is
+        first read: zeros appended to ``raw`` and to ``values``, and ``order``
+        then read from the padded ``raw``.  Bitwise the record of the
+        zero-padded input, since its zeros sort last and a NonNegVector holds
+        no -0.0."""
+        if self.raw.size < n:
+            zeros = np.zeros(n - self.raw.size)
+            self.raw = np.concatenate((self.raw, zeros))
+            self.values = np.concatenate((self.values, zeros))
+
 
 def _ties_by_index(order: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``order``, a permutation that sorts a vector into ``values``, with
@@ -398,9 +410,10 @@ def _decide(
     sequential ``add.accumulate``, whose complex add is two independent
     float64 adds.  So every partial sum, comparison, ``failed_index`` and
     message is bitwise what one ``cumsum`` of each zero-padded vector gives.
-    The scan stops at the first block that holds a failing position.  A
-    caller that builds a witness pads the inputs first, so the records have
-    equal lengths.
+    The scan stops at the first block that holds a failing position.  The
+    records keep their inputs' lengths; a caller that builds a witness pads
+    them after a holding decision (:func:`_padded`), so a refutation copies
+    neither input.
     """
     if tol != tol:
         raise ValueError("tol must not be NaN")
@@ -437,13 +450,21 @@ def _decide(
     return sf, sg, None
 
 
+def _padded(sf: _Sorted, sg: _Sorted) -> tuple[_Sorted, _Sorted]:
+    """The two records of a holding decision, zero-padded to one length for a witness."""
+    n = max(sf.raw.size, sg.raw.size)
+    sf.pad(n)
+    sg.pad(n)
+    return sf, sg
+
+
 def _require(f: NonNegVector, g: NonNegVector, tol: float, equal_totals: bool) -> tuple[_Sorted, _Sorted]:
-    """:func:`_decide` on the zero-padded pair, raising the witness constructors' precondition error."""
-    sf, sg, failed = _decide(*common_dim(f, g), tol, equal_totals)
+    """:func:`_decide` and the padded records, raising the witness constructors' precondition error."""
+    sf, sg, failed = _decide(f, g, tol, equal_totals)
     if failed is not None:
         relation = "majorization" if equal_totals else "weak majorization"
         raise ValueError(f"{relation} precondition fails: {failed.message}")
-    return sf, sg
+    return _padded(sf, sg)
 
 
 def check_majorize(
@@ -453,12 +474,13 @@ def check_majorize(
     with_witness: bool = True,
 ) -> RelationVerdict:
     """Decide f majorized by g; certify with a doubly stochastic witness."""
-    if with_witness:
-        f, g = common_dim(f, g)
     sf, sg, failed = _decide(f, g, tol, equal_totals=True)
     if failed is not None:
         return failed
-    witness = _ChainMatrix(_hlp_chain(sf, sg, tol), sf.order, sg.order, tol) if with_witness else None
+    witness = None
+    if with_witness:
+        sf, sg = _padded(sf, sg)
+        witness = _ChainMatrix(_hlp_chain(sf, sg, tol), sf.order, sg.order, tol)
     return RelationVerdict(holds=True, witness=witness, message="majorization holds")
 
 
@@ -469,12 +491,10 @@ def check_weak_majorize(
     with_witness: bool = True,
 ) -> RelationVerdict:
     """Decide f weakly majorized by g; certify with a doubly substochastic witness."""
-    if with_witness:
-        f, g = common_dim(f, g)
     sf, sg, failed = _decide(f, g, tol, equal_totals=False)
     if failed is not None:
         return failed
-    witness = _weak_factors(sf, sg, tol)[0] if with_witness else None
+    witness = _weak_factors(*_padded(sf, sg), tol)[0] if with_witness else None
     return RelationVerdict(holds=True, witness=witness, message="weak majorization holds")
 
 
@@ -499,15 +519,13 @@ def check_submajorize(
     n x n arrays are built on the first read of ``data`` (D1's once for
     both) and then kept; at large n that read allocates n^2 floats.
     """
-    if with_witness:
-        f, g = common_dim(f, g)
     sf, sg, failed = _decide(f, g, tol, equal_totals=False)
     if failed is not None:
         return failed
     message = "submajorization holds (finite collapse to the weak relation)"
     if not with_witness:
         return RelationVerdict(holds=True, message=message)
-    witness, d1 = _weak_factors(sf, sg, tol)
+    witness, d1 = _weak_factors(*_padded(sf, sg), tol)
     cert = IncreasabilityCertificate(base=witness, completion=d1)
     return RelationVerdict(holds=True, witness=witness, certificate=cert, message=message)
 

@@ -12,7 +12,8 @@ from submaj.cli import main
 from submaj.matrices import StochMatrix
 from submaj.preservers import TruncatedOperator
 from submaj.relations import chain_product_from_parts, TTransformChain, TTransformStep
-from test_relations import dense_chain_product_reference
+
+import oracles
 
 
 @pytest.fixture()
@@ -166,7 +167,7 @@ def test_witness_chain_reconstructs(files, capsys):
         product=StochMatrix.from_json_dict(payload["product"]),
     )
     assert len(chain.steps) <= 2
-    reference = dense_chain_product_reference(chain)
+    reference = oracles.dense_chain_product(chain)
     assert np.max(np.abs(chain.product.data - reference)) <= 1e-12
     assert np.max(np.abs(chain_product_from_parts(chain) - reference)) <= 1e-12
 

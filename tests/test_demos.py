@@ -19,56 +19,14 @@ from submaj.demos import (
     triangular_family,
 )
 from submaj.config import DEFAULT_CLASS_TOL
-from submaj.matrices import apply, shift_matrix
+from submaj.matrices import shift_matrix
 from submaj.preservers import TruncatedOperator
-from submaj.relations import check_weak_majorize, strict_permutation
+from submaj.relations import check_weak_majorize
 from submaj.vectors import NonNegVector
 
+import oracles
+
 V = NonNegVector.of
-
-
-def _dense_reciprocal_square(n, tol=DEFAULT_CLASS_TOL):
-    """reciprocal_square_example through the two dense n x n shift matrices it
-    used to build, kept as a reference."""
-    f = NonNegVector(np.array([1.0 / (i * i) for i in range(1, n + 1)]))
-    g = apply(shift_matrix(n, "right"), f)
-    lg = shift_matrix(n, "left").data @ g.values
-    padded = f.values.copy()
-    padded[-1] = 0.0
-    return ReciprocalSquareReport(
-        n=n,
-        f=f,
-        g=g,
-        right_shift_witness_exact=bool(np.array_equal(g.values, np.concatenate(([0.0], f.values[:-1])))),
-        weak_g_under_f_holds=check_weak_majorize(g, f, tol, with_witness=False).holds,
-        weak_f_under_g_holds=check_weak_majorize(f, g, tol, with_witness=False).holds,
-        left_shift_window_exact=bool(np.array_equal(lg[: n - 1], f.values[: n - 1])) if n > 1 else True,
-        window_boundary_defect=float(f.values[-1]),
-        partial_matched_support=tuple(i for i in range(1, n) if g.values[i] == f.values[i - 1]),
-        strict_perm_with_zero_pad=strict_permutation(NonNegVector(padded), g),
-    )
-
-
-def _grid_shift_forcing(g):
-    """The n x n grid propagation shift_forcing replaced, kept as a reference."""
-    n = g.dim
-    free = -1.0
-    pinned = np.full((n, n), free)
-    pinned[0, :] = 0.0
-    conclusion = "equals-right-shift"
-    for k in range(1, n):
-        if pinned[k, k - 1] == 0.0:
-            conclusion = "contradiction"
-            break
-        pinned[k, :] = 0.0
-        pinned[k, k - 1] = 1.0
-        col = pinned[:, k - 1]
-        col[np.arange(n) != k] = 0.0
-    fully = not np.any(pinned == free)
-    if not fully and conclusion == "equals-right-shift":
-        conclusion = "underdetermined"
-    entries = {(i + 1, j + 1): float(pinned[i, j]) for i in range(n) for j in range(n) if pinned[i, j] > 0}
-    return entries, fully, conclusion
 
 
 class TestShiftForcing:
@@ -95,17 +53,6 @@ class TestShiftForcing:
         assert result.forced.to_dense().tolist() == [[0]]
         assert result.fully_determined
 
-    def test_matches_grid_propagation(self):
-        rng = np.random.default_rng(42)
-        dims = [1, 2, 3] + [int(n) for n in rng.integers(4, 120, 40)]
-        for n in dims:
-            g = NonNegVector(np.cumsum(rng.uniform(1e-6, 2.0, n))[::-1].copy())
-            result = shift_forcing(g)
-            entries, fully, conclusion = _grid_shift_forcing(g)
-            assert list(result.forced.entries.items()) == list(entries.items())
-            assert result.forced.rows == result.forced.cols == n
-            assert (result.fully_determined, result.conclusion) == (fully, conclusion)
-
     def test_scales_without_a_dense_grid(self):
         n = 100_000
         g = NonNegVector(np.arange(n, 0, -1, dtype=float))
@@ -120,12 +67,19 @@ class TestShiftForcing:
         assert peak < 1e-3 * n * n * 8  # one n x n float grid would need 80 GB
 
     def test_matches_right_shift_for_many_dims(self):
+        # Any strictly decreasing positive g forces the right shift: ones at
+        # (k + 1, k), in row order, and nothing else, fully determined.
+        rng = np.random.default_rng(42)
+        gs = [np.cumsum(rng.uniform(1e-6, 2.0, n))[::-1].copy() for n in [1, 2, 3, *rng.integers(4, 120, 40)]]
         rng = np.random.default_rng(41)
-        for _ in range(15):
-            n = int(rng.integers(2, 51))
-            g = NonNegVector(np.sort(rng.uniform(0.01, 1, n))[::-1] + np.arange(n, 0, -1))
-            result = shift_forcing(g)
+        for n in (int(rng.integers(2, 51)) for _ in range(15)):
+            gs.append(np.sort(rng.uniform(0.01, 1, n))[::-1] + np.arange(n, 0, -1))
+        for g in gs:
+            n = g.size
+            result = shift_forcing(NonNegVector(g))
+            assert list(result.forced.entries.items()) == [((k + 1, k), 1.0) for k in range(1, n)]
             assert np.array_equal(result.forced.to_dense(), shift_matrix(n, "right").data)
+            assert (result.fully_determined, result.conclusion) == (True, "equals-right-shift")
 
 
 class TestThetaFormulas:
@@ -193,7 +147,7 @@ class TestReciprocalSquareExample:
 
     def test_reports_equal_the_dense_shift_reference_bitwise(self):
         for n in range(1, 301):
-            new, old = reciprocal_square_example(n), _dense_reciprocal_square(n)
+            new, old = reciprocal_square_example(n), oracles.reciprocal_square_report(n, DEFAULT_CLASS_TOL)
             for field in dataclasses.fields(ReciprocalSquareReport):
                 a, b = getattr(new, field.name), getattr(old, field.name)
                 if isinstance(a, NonNegVector):

@@ -27,27 +27,8 @@ from submaj.matrices import (
 from submaj.sampling import random_doubly_stochastic, random_doubly_substochastic
 from submaj.vectors import NonNegVector
 
-
-def _nonzero_scan_completion(d, aug_tol=DEFAULT_EXACT_TOL):
-    """The greedy loop that rescanned both deficiency vectors with np.nonzero
-    on every step, kept as a reference for the pointer loop."""
-    a = d.data.copy()
-    r = 1.0 - d.row_sums.copy()
-    c = 1.0 - d.col_sums.copy()
-    steps = []
-    while True:
-        rows_open = np.nonzero(r > aug_tol)[0]
-        cols_open = np.nonzero(c > aug_tol)[0]
-        if rows_open.size == 0 or cols_open.size == 0:
-            break
-        i = int(rows_open[0])
-        j = int(cols_open[0])
-        t = min(r[i], c[j])
-        a[i, j] += t
-        r[i] -= t
-        c[j] -= t
-        steps.append((i + 1, j + 1, float(t)))
-    return tuple(steps), a
+import oracles
+from corpus import classify_inputs
 
 
 class TestClassify:
@@ -104,6 +85,7 @@ class TestClassify:
             ([[1.0, -1e-300], [0.0, 1.0]], "nonnegative"),
         ],
     )
+
     def test_rejects_non_finite_before_negative_without_warnings(self, data, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -212,7 +194,7 @@ class TestCompletion:
             else:
                 d = random_doubly_substochastic(rng, n)
             cert = vonneumann_complete(d)
-            steps, completion = _nonzero_scan_completion(d)
+            steps, completion = oracles.greedy_completion(d, DEFAULT_EXACT_TOL)
             assert [tuple(s) for s in cert.steps] == list(steps)
             assert np.array_equal(cert.completion.data, completion)
 
@@ -378,43 +360,6 @@ class TestShift:
         assert zero_matrix(3).matrix_class is MatrixClass.DOUBLY_SUBSTOCHASTIC
 
 
-def _two_path_classify(arr, tol=submaj.matrices.DEFAULT_CLASS_TOL):
-    """The reductions-first classifier that the one screened path replaced, kept
-    as a reference: sums first under errstate, the entrywise checks and a
-    second summation only when a sum is not finite."""
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    if arr.shape[0] < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    sums = None
-    if arr.min() >= 0:
-        with np.errstate(over="ignore"):
-            sums = arr.sum(axis=1), arr.sum(axis=0)
-        if not all(np.isfinite(s).all() for s in sums):
-            sums = None
-    if sums is None:
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("matrix entries must be nonnegative")
-        sums = arr.sum(axis=1), arr.sum(axis=0)
-    for a in (arr, *sums):
-        a.flags.writeable = False
-    return StochMatrix(
-        data=arr, row_sums=sums[0], col_sums=sums[1], matrix_class=submaj.matrices._class_of(*sums, tol)
-    )
-
-
-def _row_blocked_dominates(upper, lower):
-    """The row-blocked dominance scan that the one comparison replaced, kept as
-    a reference."""
-    block = max(1, 2**14 // lower.shape[0])
-    return not any(
-        np.any(upper[r : r + block] < lower[r : r + block] - submaj.matrices.DEFAULT_CLASS_TOL)
-        for r in range(0, lower.shape[0], block)
-    )
-
-
 def _outcome(fn, *args):
     """What a call gives, bit for bit: its result or its exception type and
     message, and the number of RuntimeWarnings it raised."""
@@ -429,41 +374,11 @@ def _outcome(fn, *args):
     return out, sum(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
-def _classify_corpus():
-    rng = np.random.default_rng(18)
-    for n in list(range(1, 41)) + [500]:
-        raw = rng.uniform(0.0, 1.0, size=(n, n))
-        raw[rng.uniform(size=(n, n)) < 0.2] = 0.0
-        yield raw
-        full = raw + 0.01
-        yield full / full.sum(axis=1, keepdims=True)  # row stochastic, columns free
-        yield full / full.sum(axis=0, keepdims=True)
-        yield random_doubly_substochastic(rng, n).data
-        yield random_doubly_stochastic(rng, n).data
-    base = np.array([[0.5, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.5]])
-    for value in (np.nan, np.inf, -np.inf, -1.0, -1e-300, -0.0, 5e-324):
-        for pos in ((0, 0), (1, 2), (2, 1)):
-            bad = base.copy()
-            bad[pos] = value
-            yield bad
-    yield np.full((3, 3), -0.0)
-    yield np.array([[np.nan, -1.0], [0.0, 1.0]])
-    yield np.array([[-1.0, np.nan], [0.0, 1.0]])
-    yield np.array([[1e308, 1e308], [0.0, 0.0]])  # a finite row overflows
-    yield np.array([[1e308, 0.0], [1e308, 0.0]])  # a finite column overflows
-    yield np.array([[1e308, 1e308], [1e308, 1e308]])
-    yield np.array([[np.inf, 0.0], [1e308, 1e308]])
-    yield np.array([[1e308, 1e308], [-1.0, 0.0]])
-    for shape in ((0, 0), (0,), (1, 0), (0, 1), (2, 3), (3, 2), (4,), (), (2, 2, 2)):
-        yield np.zeros(shape)
-
-
 def test_one_path_classify_matches_the_two_path_reference():
-    corpus = list(_classify_corpus())
     seen = set()
-    for data in corpus:
+    for data in classify_inputs():
         new = _outcome(_classify, np.array(data, dtype=float, copy=True))
-        old = _outcome(_two_path_classify, np.array(data, dtype=float, copy=True))
+        old = _outcome(oracles.classify, np.array(data, dtype=float, copy=True), submaj.matrices.DEFAULT_CLASS_TOL)
         assert new == old, (data, new, old)
         assert _outcome(classify_matrix, data) == old
         seen.add(new[0][0] if isinstance(new[0][0], MatrixClass) else new[0][1])
@@ -496,8 +411,8 @@ def test_one_comparison_dominance_matches_the_row_blocked_reference():
                 u = upper.copy()
                 u[pos] = value
                 assert submaj.matrices._dominates(u, lower) is dominates
-                assert _row_blocked_dominates(u, lower) is dominates
+                assert oracles.dominates(u, lower, tol) is dominates
                 cases += 1
         upper = lower + rng.uniform(-1e-3, 1e-3, size=(n, n))
-        assert submaj.matrices._dominates(upper, lower) == _row_blocked_dominates(upper, lower)
+        assert submaj.matrices._dominates(upper, lower) == oracles.dominates(upper, lower, tol)
     assert cases > 50

@@ -16,11 +16,9 @@ from submaj.demos import (
     triangular_constant_row,
     triangular_family,
 )
-from submaj.matrices import classify_matrix, decompose_increasable, vonneumann_complete
+from submaj.matrices import classify_matrix, vonneumann_complete
 from submaj.preservers import (
     _intertwining_gap,
-    FamilyCollision,
-    FamilyVerdict,
     Injection,
     InjectionFamily,
     PreserverSpec,
@@ -41,6 +39,9 @@ from submaj.preservers import (
 from submaj.relations import check_weak_majorize
 from submaj.sampling import random_doubly_substochastic
 from submaj.vectors import NonNegVector, p_norm
+
+import oracles
+from corpus import families, operators, placement_cases
 
 V = NonNegVector.of
 
@@ -411,123 +412,15 @@ class TestEmpiricalPreservation:
 
 # ----------------------------------------------------------------------
 # Differential tests: the indexed TruncatedOperator against the dict scans
-# it replaced, kept here as reference copies.
+# of ``oracles``.
 # ----------------------------------------------------------------------
-
-
-def _ref_clean(rows, cols, entries):
-    """The old constructor loop: the cleaned dict, or the error it raised."""
-    clean = {}
-    for (i, j), v in entries.items():
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            return f"entry ({i}, {j}) outside the {rows}x{cols} window"
-        v = float(v)
-        if not np.isfinite(v) or v <= 0:
-            return f"entries must be finite and positive, got {v} at ({i}, {j})"
-        clean[(int(i), int(j))] = v
-    return clean
-
-
-def _ref_column(t, j):
-    return {i: v for (i, jj), v in t.entries.items() if jj == j}
-
-
-def _ref_row(t, i):
-    return {j: v for (ii, j), v in t.entries.items() if ii == i}
-
-
-def _ref_apply(t, f):
-    out = np.zeros(t.rows)
-    for (i, j), v in t.entries.items():
-        out[i - 1] += v * f.values[j - 1]
-    return out
-
-
-def _ref_columns_share_multiset(t, tol):
-    reference = None
-    for j in range(1, t.cols + 1):
-        values = sorted(v for v in _ref_column(t, j).values() if v > tol)
-        if reference is None:
-            reference = values
-            continue
-        if len(values) != len(reference) or any(abs(a - b) > tol for a, b in zip(values, reference)):
-            return f"column {j} carries a different positive multiset than column 1"
-    return None
-
-
-def _ref_classify_lp(t, tol):
-    per_row = {}
-    for (i, j), v in t.entries.items():
-        if v > tol:
-            per_row[i] = per_row.get(i, 0) + 1
-            if per_row[i] > 1:
-                return False, f"row {i} has more than one positive entry"
-    mismatch = _ref_columns_share_multiset(t, tol)
-    if mismatch is not None:
-        return False, mismatch
-    return True, "rows are singletons and columns share one multiset"
-
-
-def _ref_classify_l1(t, tol):
-    for i in sorted(set(i for (i, _), v in t.entries.items() if v > tol)):
-        row = {j: v for j, v in _ref_row(t, i).items() if v > tol}
-        if len(row) <= 1:
-            continue
-        values = list(row.values())
-        if not (max(values) - min(values) <= tol and len(row) == t.cols):
-            return False, f"row {i} is neither singleton-support nor constant across all columns"
-    mismatch = _ref_columns_share_multiset(t, tol)
-    if mismatch is not None:
-        return False, mismatch
-    return True, "rows are singletons or constant and columns share one multiset"
-
-
-def _differential_operators(seed, count, tol=1e-9):
-    """Seeded operators near every classifier boundary, in shuffled entry order.
-
-    Cases cycle through: empty, one row, one column, disjoint injections,
-    injections plus constant rows, one perturbed entry, stray positives; the
-    values come from a pool holding ties, near-ties within +-tol, and values
-    at and around tol itself.
-    """
-    rng = np.random.default_rng(seed)
-    pool = np.array([0.5, 0.5 + tol / 2, 0.5 - tol / 2, 0.5 + 3 * tol, 0.25, 1.0,
-                     tol, tol * (1 + 1e-6), tol * (1 - 1e-6), tol / 2, 2 * tol])
-    for case in range(count):
-        kind = case % 7
-        rows = 1 if kind == 1 else int(rng.integers(1, 14))
-        cols = 1 if kind == 2 else int(rng.integers(1, 7))
-        entries = {}
-        if kind != 0:
-            members = int(rng.integers(1, 4))
-            for _ in range(members):
-                w = float(rng.choice(pool))
-                targets = rng.permutation(rows)[:cols] + 1
-                for j, i in enumerate(targets, start=1):
-                    if rng.uniform() < 0.9:
-                        entries[(int(i), j)] = w * (1 + tol * rng.uniform(-1, 1)) if kind == 3 else w
-        if kind == 4:
-            for i in rng.choice(rows, size=min(rows, 2), replace=False) + 1:
-                c = float(rng.choice(pool))
-                for j in range(1, cols + 1 - int(rng.uniform() < 0.2)):
-                    entries[(int(i), j)] = c + (tol / 2 if rng.uniform() < 0.3 else 0.0)
-        if kind == 5 and entries:
-            key = list(entries)[int(rng.integers(len(entries)))]
-            entries[key] *= float(rng.choice([1.5, 1 + tol / 2, 1 + 2 * tol]))
-        if kind == 6:
-            for _ in range(int(rng.integers(1, 4))):
-                entries[(int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1)))] = float(rng.choice(pool))
-        keys = list(entries)
-        shuffled = {keys[k]: entries[keys[k]] for k in rng.permutation(len(keys))}
-        yield TruncatedOperator(rows=rows, cols=cols, entries=shuffled)
-
 
 class TestIndexedOperatorMatchesDictScans:
     @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3, -1.0])  # a negative tol keeps every entry
     def test_classifiers_match_reference(self, tol):
         verdicts = set()
-        for t in _differential_operators(seed=61, count=700):
-            for new, ref in ((classify_preserver_lp, _ref_classify_lp), (classify_preserver_l1, _ref_classify_l1)):
+        for t in operators(seed=61, count=700):
+            for new, ref in ((classify_preserver_lp, oracles.classify_lp), (classify_preserver_l1, oracles.classify_l1)):
                 got = new(t, tol)
                 assert (got.accepted, got.reason) == ref(t, tol), t.entries
                 verdicts.add((new.__name__, got.reason.split(" ")[0]))
@@ -542,8 +435,8 @@ class TestIndexedOperatorMatchesDictScans:
         real = submaj.preservers._multiset_mismatch
         monkeypatch.setattr(submaj.preservers, "_multiset_mismatch", lambda t, tol: calls.append(tol) or real(t, tol))
         tols = [1e-9, 0.0, 0.3, -1.0]
-        pairs = [(classify_preserver_l1, _ref_classify_l1), (classify_preserver_lp, _ref_classify_lp)]
-        for t in _differential_operators(seed=64, count=300):
+        pairs = [(classify_preserver_l1, oracles.classify_l1), (classify_preserver_lp, oracles.classify_lp)]
+        for t in operators(seed=64, count=300):
             calls.clear()
             for tol in tols + tols[::-1]:
                 for new, ref in pairs:
@@ -554,13 +447,13 @@ class TestIndexedOperatorMatchesDictScans:
 
     def test_rows_columns_and_apply_match_reference(self):
         rng = np.random.default_rng(62)
-        for t in _differential_operators(seed=63, count=300):
+        for t in operators(seed=63, count=300):
             for i in range(0, t.rows + 2):
-                assert list(t.row(i).items()) == list(_ref_row(t, i).items())
+                assert list(t.row(i).items()) == [(j, v) for (ii, j), v in t.entries.items() if ii == i]
             for j in range(0, t.cols + 2):
-                assert list(t.column(j).items()) == list(_ref_column(t, j).items())
+                assert list(t.column(j).items()) == [(i, v) for (i, jj), v in t.entries.items() if jj == j]
             f = NonNegVector(rng.uniform(0, 3, t.cols) * (rng.uniform(size=t.cols) > 0.3))
-            expected = _ref_apply(t, f)
+            expected = oracles.apply_entries(t.entries, t.rows, f)
             got = t.apply(f).values
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.abs(expected).sum())
@@ -586,7 +479,7 @@ class TestIndexedOperatorMatchesDictScans:
                     entries[key] = bad_values[int(rng.integers(len(bad_values)))]
             keys = list(entries)
             entries = {keys[k]: entries[keys[k]] for k in rng.permutation(len(keys))}
-            expected = _ref_clean(rows, cols, entries)
+            expected = oracles.clean_entries(rows, cols, entries)
             if isinstance(expected, str):
                 raised += 1
                 with pytest.raises(ValueError) as err:
@@ -601,7 +494,7 @@ class TestIndexedOperatorMatchesDictScans:
     def test_float_and_numpy_keys_are_cleaned_like_before(self):
         entries = {(np.int64(2), 1): np.float32(0.5), (1.0, 2): 3, (1.5, 2): 1.25}  # (1.5, 2) lands on (1, 2)
         t = TruncatedOperator(rows=2, cols=2, entries=entries)
-        assert list(t.entries.items()) == list(_ref_clean(2, 2, entries).items()) == [((2, 1), 0.5), ((1, 2), 1.25)]
+        assert list(t.entries.items()) == list(oracles.clean_entries(2, 2, entries).items()) == [((2, 1), 0.5), ((1, 2), 1.25)]
         assert t.row(1) == {2: 1.25} and t.column(2) == {1: 1.25} and t.row(2) == {1: 0.5}
         assert t.apply(V(1, 1)).values.tolist() == [1.25, 0.5]
 
@@ -609,85 +502,17 @@ class TestIndexedOperatorMatchesDictScans:
 # ----------------------------------------------------------------------
 # Differential tests: injection_matrix, apply_injection_operator and
 # construct_S place entries through build_preserver and index arrays; the
-# per-entry loops they replaced are kept here as reference copies.
+# entry loops of ``oracles`` place them one by one.
 # ----------------------------------------------------------------------
 
 
-def _ref_window(rows, cols, entries):
-    """The operator the old loops produced, or the error it raised."""
-    try:
-        return TruncatedOperator(rows=rows, cols=cols, entries=entries)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _ref_build_preserver(spec, rows, cols):
-    if spec.family.members and cols > spec.family.domain_dim:
-        return f"injection domain {spec.family.domain_dim} smaller than {cols} columns"
-    entries = {}
-    for weight, member in zip(spec.weights, spec.family.members):
-        if weight <= 0:
-            continue
-        for j in range(1, cols + 1):
-            i = member.mapping[j - 1]
-            if i <= rows:
-                entries[(i, j)] = weight
-    if spec.constant_row is not None:
-        h = spec.constant_row.values
-        for i in spec.constant_row.support():
-            if i <= rows:
-                for j in range(1, cols + 1):
-                    entries[(i, j)] = float(h[i - 1])
-    return _ref_window(rows, cols, entries)
-
-
-def _ref_injection_matrix(theta, rows, cols):
-    if cols > theta.domain_dim:
-        return f"injection domain {theta.domain_dim} smaller than {cols} columns"
-    entries = {}
-    for j in range(1, cols + 1):
-        i = theta.mapping[j - 1]
-        if i <= rows:
-            entries[(i, j)] = 1.0
-    return _ref_window(rows, cols, entries)
-
-
-def _ref_apply_injection_operator(theta, f):
-    out = np.zeros(max(theta.mapping))
-    for k in range(f.dim):
-        out[theta.mapping[k] - 1] = f.values[k]
-    return out
-
-
-def _ref_construct_S(cert, family, a, truncate):
-    """The old entry loops and the dense gap of the first member (the one a failing check reports)."""
-    m = cert.base.n
-    images = family.union_image()
-    n = truncate if truncate is not None else max(images)
-    decomp = decompose_increasable(cert.base, cert)
-    block = decomp.d1.data - decomp.d2.data
-    entries = {}
-    for member in family.members:
-        for r in range(1, m + 1):
-            for c in range(1, m + 1):
-                v = float(block[r - 1, c - 1])
-                if v > 0:
-                    entries[(member.mapping[r - 1], member.mapping[c - 1])] = v
-    outside = 1.0 - a
-    if outside > 0:
-        for i in range(1, n + 1):
-            if i not in images:
-                entries[(i, i)] = outside
-    s = TruncatedOperator(rows=n, cols=n, entries=entries)
-    theta = np.asarray(family.members[0].mapping) - 1
-    diff = np.zeros((n, m))
-    diff[theta] = cert.base.data
-    diff -= s.to_dense()[:, theta]
-    return s, float(np.max(np.abs(diff)))
+def _operator(rows, cols, entries):
+    """The operator of an oracle's entry dict; fails on the oracle's error message."""
+    assert isinstance(entries, dict), entries
+    return TruncatedOperator(rows=rows, cols=cols, entries=entries)
 
 
 def _assert_same_operator(got, want):
-    assert isinstance(want, TruncatedOperator), want
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert list(got.entries.items()) == list(want.entries.items())
     assert all(type(i) is int and type(j) is int and type(v) is float for (i, j), v in got.entries.items())
@@ -703,57 +528,22 @@ def _outcome(fn, *args):
         return exc
 
 
-def _placement_cases(seed, count):
-    """Seeded (spec, rows, cols, cert, a, truncate) over every placement edge.
-
-    Families cycle through quadratic, triangular and random; some weights are
-    zero; p = 1 specs may carry constant rows on spare indices; the window may
-    stop below the top image, the columns below the domain; a is 0, 1 or
-    uniform, and S's truncation is its top image or above it.
-    """
-    rng = np.random.default_rng(seed)
-    for case in range(count):
-        members, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
-        kind = case % 3
-        if kind == 0:
-            family = quadratic_family(members, m)
-        elif kind == 1:
-            family = triangular_family(members, m)
-        else:
-            family = random_injection_family(rng, members, m, members * m + int(rng.integers(0, 12)))
-        weights = rng.uniform(0.1, 2.0, members) * (rng.uniform(size=members) > 0.3)
-        top = max(family.union_image())
-        constant_row = None
-        if case % 2 == 0:
-            spare = [i for i in range(1, top + 3) if i not in family.union_image()]
-            h = np.zeros(top + 2)
-            h[rng.choice(spare, size=min(len(spare), int(rng.integers(1, 4))), replace=False) - 1] = rng.uniform(0.1, 1)
-            constant_row = NonNegVector(h)
-        spec = PreserverSpec(p=1.0 if case % 2 == 0 else 2.0, weights=tuple(weights), family=family,
-                             constant_row=constant_row)
-        cols = m if rng.uniform() < 0.5 else int(rng.integers(1, m + 1))
-        rows = preservation_rows_needed(spec, cols) if rng.uniform() < 0.5 else int(rng.integers(1, top + 3))
-        cert = vonneumann_complete(random_doubly_substochastic(rng, m))
-        a = (0.0, 1.0, float(rng.uniform()))[int(rng.integers(0, 3))]
-        truncate = None if rng.uniform() < 0.5 else top + int(rng.integers(0, 6))
-        yield spec, rows, cols, cert, a, truncate
-
-
 class TestPlacementMatchesEntryLoops:
     def test_operators_and_actions_match_reference(self):
         seen = set()
-        for spec, rows, cols, cert, a, truncate in _placement_cases(seed=71, count=400):
+        for spec, rows, cols, cert, a, truncate in placement_cases(seed=71, count=400):
             family = spec.family
-            _assert_same_operator(build_preserver(spec, rows, cols), _ref_build_preserver(spec, rows, cols))
+            _assert_same_operator(build_preserver(spec, rows, cols), _operator(rows, cols, oracles.build_entries(spec, rows, cols)))
             for theta in family.members:
-                _assert_same_operator(injection_matrix(theta, rows, cols), _ref_injection_matrix(theta, rows, cols))
-                m = theta.domain_dim
+                one = PreserverSpec(p=1.0, weights=(1.0,), family=InjectionFamily((theta,)))
+                _assert_same_operator(injection_matrix(theta, rows, cols), _operator(rows, cols, oracles.build_entries(one, rows, cols)))
+                m, top = theta.domain_dim, max(theta.mapping)
                 f = NonNegVector(np.random.default_rng(rows).uniform(0, 2, m) * (np.arange(m) % 3 > 0))
                 got = apply_injection_operator(theta, f).values
-                assert got.shape == (max(theta.mapping),)
-                assert np.array_equal(got, _ref_apply_injection_operator(theta, f))
+                assert got.shape == (top,)
+                assert np.array_equal(got, oracles.apply_entries(oracles.build_entries(one, top, m), top, f))
             s = construct_S(cert, family, a, truncate=truncate)
-            want, gap = _ref_construct_S(cert, family, a, truncate)
+            want, gap = oracles.construct_S(cert, family, a, truncate)
             _assert_same_operator(s, want)
             with pytest.raises(RuntimeError) as err:
                 construct_S(cert, family, a, truncate=truncate, check_tol=-1.0)
@@ -768,7 +558,7 @@ class TestPlacementMatchesEntryLoops:
         theta = Injection((4, 2, 7))
         spec = PreserverSpec(p=1.0, weights=(1.0,), family=InjectionFamily((theta,)))
         for rows, cols in ((0, 1), (1, 0), (5, -1), (-2, 2), (9, 4), (9, 10)):
-            want = _ref_injection_matrix(theta, rows, cols)
+            want = oracles.build_entries(spec, rows, cols)
             assert isinstance(want, str)
             for got in (_outcome(injection_matrix, theta, rows, cols), _outcome(build_preserver, spec, rows, cols)):
                 assert isinstance(got, ValueError) and str(got) == want
@@ -815,46 +605,15 @@ class TestPlacementMatchesEntryLoops:
 
 # ----------------------------------------------------------------------
 # Coordinate arrays as the one representation: ``entries`` is built on its
-# first read; injections, families and family validation run on arrays.
-# The per-element loops they replaced are kept here as reference copies.
+# first read; injections, families and family validation run on arrays,
+# checked against the per-element loops of ``oracles``.
 # ----------------------------------------------------------------------
 
-
-def _ref_validate_family(family):
-    seen = {}
-    for k, member in enumerate(family.members, start=1):
-        for j, target in enumerate(member.mapping, start=1):
-            if target in seen:
-                k0, j0 = seen[target]
-                return FamilyVerdict(False, FamilyCollision(k0, j0, k, j))
-            seen[target] = (k, j)
-    return FamilyVerdict(True)
-
-
-def _ref_to_json_dict(t):
-    triplets = sorted((i, j, v) for (i, j), v in t.entries.items())
-    return {"rows": t.rows, "cols": t.cols, "entries": [[i, j, v] for i, j, v in triplets]}
-
-
-@st.composite
-def _families(draw):
-    """Injective members over one domain, some with a collision planted between two of them."""
-    members, dim = draw(st.integers(1, 5)), draw(st.integers(1, 8))
-    images = st.lists(st.integers(1, 3 * members * dim), min_size=dim, max_size=dim, unique=True)
-    rows = [draw(images) for _ in range(members)]
-    if members > 1 and draw(st.booleans()):
-        k0, k = sorted(draw(st.lists(st.integers(0, members - 1), min_size=2, max_size=2, unique=True)))
-        j0, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        if rows[k0][j0] not in rows[k]:
-            rows[k][j] = rows[k0][j0]
-    return InjectionFamily(tuple(Injection(tuple(r)) for r in rows))
-
-
 @settings(max_examples=300, deadline=None)
-@given(_families())
+@given(families())
 def test_validate_family_matches_dict_scan(family):
     got = validate_family(family)
-    assert got == _ref_validate_family(family)
+    assert got == oracles.validate_family(family)
     assert got.collision is None or all(type(x) is int for x in got.collision)
 
 
@@ -873,7 +632,7 @@ class TestCoordinateArrays:
         for op in (t, s, forced):
             assert "entries" not in vars(op)
         first = t.entries
-        assert list(first.items()) == list(_ref_build_preserver(spec, rows, cols).entries.items())
+        assert list(first.items()) == list(oracles.build_entries(spec, rows, cols).items())
         assert all(type(i) is int and type(j) is int and type(v) is float for (i, j), v in first.items())
         assert t.entries is first
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -881,8 +640,9 @@ class TestCoordinateArrays:
         assert t.entries is first
 
     def test_json_matches_sorted_entries(self):
-        for t in _differential_operators(seed=82, count=200):
-            assert json.dumps(t.to_json_dict()) == json.dumps(_ref_to_json_dict(t))
+        for t in operators(seed=82, count=200):
+            want = {"rows": t.rows, "cols": t.cols, "entries": [[i, j, v] for (i, j), v in sorted(t.entries.items())]}
+            assert json.dumps(t.to_json_dict()) == json.dumps(want)
         t = build_preserver(PreserverSpec(p=2.0, weights=(1.0, 0.5), family=quadratic_family(2, 9)), 60, 9)
         t.to_json_dict()
         assert "entries" not in vars(t)
@@ -937,7 +697,7 @@ class TestCoordinateArrays:
         cases = [(2, 2, [3], [1], [1.0]), (2, 2, [1, 1], [1, 2], [0.5, 0.0]), (2, 2, [1], [1], [np.nan]),
                  (0, 2, [], [], []), (2, 2, [1, 2], [0, 1], [1.0, -1.0])]
         for rows, cols, i, j, v in cases:
-            want = _ref_window(rows, cols, dict(zip(zip(i, j), v)))
+            want = oracles.clean_entries(rows, cols, dict(zip(zip(i, j), v)))
             assert isinstance(want, str)
             got = _outcome(TruncatedOperator._from_cells, rows, cols, np.array(i, dtype=np.int64),
                            np.array(j, dtype=np.int64), np.array(v, dtype=float))
