@@ -27,7 +27,7 @@ buffer, f's partial sums in its real parts and g's in its imaginary parts,
 bitwise the sums of one ``cumsum`` of each zero-padded input.  It writes
 zeros past the shorter input's end, so it makes no padded copy, and stops
 at the first block that fails.  A call that builds a witness pads the two
-records only after a holding decision (:meth:`_Sorted.pad`); h
+records only after a holding decision (:func:`_padded`); h
 is raised from one ``cumsum`` of each sorted copy, bitwise the decision's
 sums, and h's sorted values and order are read off f's, since h along f's
 sorted order is non-increasing, and h is sorted anew only when rounding
@@ -334,17 +334,6 @@ class _Sorted:
     def order(self) -> np.ndarray:
         return _ties_by_index(np.argsort(-self.raw), self.values)
 
-    def pad(self, n: int) -> None:
-        """Zero-pad the record to n entries in place, before ``order`` is
-        first read: zeros appended to ``raw`` and to ``values``, and ``order``
-        then read from the padded ``raw``.  Bitwise the record of the
-        zero-padded input, since its zeros sort last and a NonNegVector holds
-        no -0.0."""
-        if self.raw.size < n:
-            zeros = np.zeros(n - self.raw.size)
-            self.raw = np.concatenate((self.raw, zeros))
-            self.values = np.concatenate((self.values, zeros))
-
 
 def _ties_by_index(order: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``order``, a permutation that sorts a vector into ``values``, with
@@ -451,10 +440,16 @@ def _decide(
 
 
 def _padded(sf: _Sorted, sg: _Sorted) -> tuple[_Sorted, _Sorted]:
-    """The two records of a holding decision, zero-padded to one length for a witness."""
+    """The two records of a holding decision, zero-padded in place to one
+    length for a witness, before either ``order`` is read: zeros appended to
+    the shorter record's ``raw`` and ``values``, and its ``order`` then read
+    from the padded ``raw``.  Bitwise the record of the zero-padded input,
+    since its zeros sort last and a NonNegVector holds no -0.0."""
     n = max(sf.raw.size, sg.raw.size)
-    sf.pad(n)
-    sg.pad(n)
+    for s in (sf, sg):
+        if s.raw.size < n:
+            zeros = np.zeros(n - s.raw.size)
+            s.raw, s.values = np.concatenate((s.raw, zeros)), np.concatenate((s.values, zeros))
     return sf, sg
 
 

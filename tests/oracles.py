@@ -3,8 +3,9 @@
 Each reference computes what one part of submaj must give by a path of
 its own (it may call other public parts, which their own tests cover), and
 its docstring names the float path it pins bitwise, or says that it pins
-none and how close the part must come.  A speed change proves its outputs bitwise unchanged with
-``scripts/verdict_digest.py`` on two checkouts, not with a new copy here.
+none and how close the part must come.  A speed change proves its outputs
+bitwise unchanged with ``scripts/verdict_digest.py`` on two checkouts, not
+with a new copy here.
 """
 from fractions import Fraction
 
@@ -17,11 +18,11 @@ from submaj.relations import check_majorize, check_submajorize, check_weak_major
 from submaj.vectors import NonNegVector, common_dim
 
 
-# Each check's equal-totals condition and the message of a holding verdict.
+# The message of each check's holding verdict.
 HOLDS = {
-    check_majorize: (True, "majorization holds"),
-    check_weak_majorize: (False, "weak majorization holds"),
-    check_submajorize: (False, "submajorization holds (finite collapse to the weak relation)"),
+    check_majorize: "majorization holds",
+    check_weak_majorize: "weak majorization holds",
+    check_submajorize: "submajorization holds (finite collapse to the weak relation)",
 }
 
 
@@ -30,16 +31,16 @@ HOLDS = {
 # ----------------------------------------------------------------------
 
 
-def decide(check, f, g, tol):
-    """(holds, failed_index, message) that ``check`` must return for f and g.
+def decide(f, g, tol):
+    """{check: (holds, failed_index, message)} that each check of ``HOLDS``
+    must return for f and g.
 
     Pins bitwise the float decision: each zero-padded input sorted by a
     stable argsort, one ``np.cumsum`` of each, position k failing where
-    F_k > fl(G_k + tol), and the totals compared for majorization.
+    F_k > fl(G_k + tol), and for majorization the totals compared last.
     Position 1 compares the two maxima exactly (a Fraction compares with a
     float exactly).
     """
-    equal_totals, holds_message = HOLDS[check]
     f2, g2 = common_dim(f, g)
     pf, pg = (np.cumsum(v.values[np.argsort(-v.values, kind="stable")]) for v in (f2, g2))
     over = pf > pg + tol
@@ -47,11 +48,13 @@ def decide(check, f, g, tol):
     bad = np.nonzero(over)[0]
     if bad.size:
         k = int(bad[0])
-        return False, k + 1, f"sorted partial sums fail at position {k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
-    if equal_totals and abs(pf[-1] - pg[-1]) > tol:
+        message = f"sorted partial sums fail at position {k + 1}: {pf[k]:.12g} > {pg[k]:.12g}"
+        return dict.fromkeys(HOLDS, (False, k + 1, message))
+    out = {check: (True, None, message) for check, message in HOLDS.items()}
+    if abs(pf[-1] - pg[-1]) > tol:
         k = pf.size - 1
-        return False, k + 1, f"totals differ at position {k + 1}: {pf[k]:.12g} vs {pg[k]:.12g}"
-    return True, None, holds_message
+        out[check_majorize] = (False, k + 1, f"totals differ at position {k + 1}: {pf[k]:.12g} vs {pg[k]:.12g}")
+    return out
 
 
 def scan_hlp_chain(sf, sg, tol):
@@ -192,8 +195,6 @@ def classify(arr, tol):
             (False, True): MatrixClass.COL_SUBSTOCHASTIC,
             (False, False): MatrixClass.GENERAL,
         }[rows_ok, cols_ok]
-    for a in (arr, *sums):
-        a.flags.writeable = False
     return StochMatrix(data=arr, row_sums=rows, col_sums=cols, matrix_class=cls)
 
 

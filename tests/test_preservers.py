@@ -420,7 +420,8 @@ class TestIndexedOperatorMatchesDictScans:
     def test_classifiers_match_reference(self, tol):
         verdicts = set()
         for t in operators(seed=61, count=700):
-            for new, ref in ((classify_preserver_lp, oracles.classify_lp), (classify_preserver_l1, oracles.classify_l1)):
+            for new, ref in ((classify_preserver_lp, oracles.classify_lp),
+                             (classify_preserver_l1, oracles.classify_l1)):
                 got = new(t, tol)
                 assert (got.accepted, got.reason) == ref(t, tol), t.entries
                 verdicts.add((new.__name__, got.reason.split(" ")[0]))
@@ -494,7 +495,8 @@ class TestIndexedOperatorMatchesDictScans:
     def test_float_and_numpy_keys_are_cleaned_like_before(self):
         entries = {(np.int64(2), 1): np.float32(0.5), (1.0, 2): 3, (1.5, 2): 1.25}  # (1.5, 2) lands on (1, 2)
         t = TruncatedOperator(rows=2, cols=2, entries=entries)
-        assert list(t.entries.items()) == list(oracles.clean_entries(2, 2, entries).items()) == [((2, 1), 0.5), ((1, 2), 1.25)]
+        want = [((2, 1), 0.5), ((1, 2), 1.25)]
+        assert list(t.entries.items()) == list(oracles.clean_entries(2, 2, entries).items()) == want
         assert t.row(1) == {2: 1.25} and t.column(2) == {1: 1.25} and t.row(2) == {1: 0.5}
         assert t.apply(V(1, 1)).values.tolist() == [1.25, 0.5]
 
@@ -533,10 +535,12 @@ class TestPlacementMatchesEntryLoops:
         seen = set()
         for spec, rows, cols, cert, a, truncate in placement_cases(seed=71, count=400):
             family = spec.family
-            _assert_same_operator(build_preserver(spec, rows, cols), _operator(rows, cols, oracles.build_entries(spec, rows, cols)))
+            want = _operator(rows, cols, oracles.build_entries(spec, rows, cols))
+            _assert_same_operator(build_preserver(spec, rows, cols), want)
             for theta in family.members:
                 one = PreserverSpec(p=1.0, weights=(1.0,), family=InjectionFamily((theta,)))
-                _assert_same_operator(injection_matrix(theta, rows, cols), _operator(rows, cols, oracles.build_entries(one, rows, cols)))
+                want = _operator(rows, cols, oracles.build_entries(one, rows, cols))
+                _assert_same_operator(injection_matrix(theta, rows, cols), want)
                 m, top = theta.domain_dim, max(theta.mapping)
                 f = NonNegVector(np.random.default_rng(rows).uniform(0, 2, m) * (np.arange(m) % 3 > 0))
                 got = apply_injection_operator(theta, f).values
