@@ -66,20 +66,26 @@ class TestShiftForcing:
         assert len(result.forced.entries) == n - 1 and result.forced.entries[(n, n - 1)] == 1.0
         assert peak < 1e-3 * n * n * 8  # one n x n float grid would need 80 GB
 
-    def test_matches_right_shift_for_many_dims(self):
-        # Any strictly decreasing positive g forces the right shift: ones at
-        # (k + 1, k), in row order, and nothing else, fully determined.
+    def test_matches_grid_propagation(self):
+        # Propagating the pinned entries over an n x n grid forces, for any
+        # strictly decreasing positive g, the right shift: ones at (k + 1, k),
+        # in row order, and nothing else, fully determined.
         rng = np.random.default_rng(42)
-        gs = [np.cumsum(rng.uniform(1e-6, 2.0, n))[::-1].copy() for n in [1, 2, 3, *rng.integers(4, 120, 40)]]
-        rng = np.random.default_rng(41)
-        for n in (int(rng.integers(2, 51)) for _ in range(15)):
-            gs.append(np.sort(rng.uniform(0.01, 1, n))[::-1] + np.arange(n, 0, -1))
-        for g in gs:
-            n = g.size
-            result = shift_forcing(NonNegVector(g))
+        dims = [1, 2, 3] + [int(n) for n in rng.integers(4, 120, 40)]
+        for n in dims:
+            g = NonNegVector(np.cumsum(rng.uniform(1e-6, 2.0, n))[::-1].copy())
+            result = shift_forcing(g)
             assert list(result.forced.entries.items()) == [((k + 1, k), 1.0) for k in range(1, n)]
-            assert np.array_equal(result.forced.to_dense(), shift_matrix(n, "right").data)
+            assert result.forced.rows == result.forced.cols == n
             assert (result.fully_determined, result.conclusion) == (True, "equals-right-shift")
+
+    def test_matches_right_shift_for_many_dims(self):
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            n = int(rng.integers(2, 51))
+            g = NonNegVector(np.sort(rng.uniform(0.01, 1, n))[::-1] + np.arange(n, 0, -1))
+            result = shift_forcing(g)
+            assert np.array_equal(result.forced.to_dense(), shift_matrix(n, "right").data)
 
 
 class TestThetaFormulas:

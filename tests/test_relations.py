@@ -630,26 +630,21 @@ def test_unequal_dimension_decisions_equal_the_zero_padded_pair(pair, with_witne
 
 @settings(max_examples=300, deadline=None)
 @given(holding_weak_pairs())
-def test_chain_sums_equal_the_chain_passes(pair):
-    # Ties, exact zeros, one-ulp moves and scales 2^-60..2^60.  Every chain
-    # witness takes its sums from the chain passes, bitwise.  And the witness
-    # path relies on three ranges it does not clamp: h >= f (every raise is
-    # a difference of a non-decreasing total), each chain step has
-    # 0 < t <= 1, and the weak witness diag(f / h) D1 stays under D1.  The
-    # chain is the one the weak witness builds for h; hlp_witness(h, g)
-    # would first re-decide h against g, which an ulp of rounding in h can
-    # fail at large scales.  h's record read off f's is a fresh sort of h.
+def test_witness_path_ranges_hold_without_clamps(pair):
+    # The witness path relies on three ranges it does not clamp: h >= f
+    # (every raise is a difference of a non-decreasing total), each chain step
+    # has 0 < t <= 1, and the weak witness diag(f / h) D1 stays under D1.  The
+    # chain is the one the weak witness builds for h; hlp_witness(h, g) would
+    # first re-decide h against g, which an ulp of rounding in h can fail at
+    # large scales.
     f, g = pair
     verdict = check_submajorize(f, g)
-    for m in _chain_witnesses(f, g, verdict):
-        _assert_sums_are_the_chain_passes(m)
     assume(verdict.holds)
     h = intermediate_h(f, g)
     assert np.all(h.values >= f.values)
     steps = submaj.relations._hlp_chain(*map(submaj.relations._Sorted, (h.values, g.values)), DEFAULT_CLASS_TOL)
     assert all(0.0 < step[2] <= 1.0 for step in steps)
     assert np.all(verdict.witness.data <= verdict.certificate.completion.data)
-    _assert_raised_record_is_the_sort_of_h(f.values, g.values)
 
 
 def _chain_outcome(chain, sf, sg):
@@ -714,6 +709,14 @@ def test_raised_record_is_the_sort_of_h_on_both_branches():
     derived = {label: _assert_raised_record_is_the_sort_of_h(f, g) for label, f, g in weak_witness_pairs()}
     assert derived.pop("off-grid fallback n=250") is False
     assert all(derived.values())  # every other pair keeps f's order
+
+
+@settings(max_examples=300, deadline=None)
+@given(holding_weak_pairs())
+def test_raised_record_is_the_sort_of_h_with_ties_zeros_and_ulp_moves(pair):
+    f, g = pair
+    assume(check_weak_majorize(f, g, with_witness=False).holds)
+    _assert_raised_record_is_the_sort_of_h(f.values, g.values)
 
 
 def test_buffer_gap_chain_matches_the_scan_loop_in_the_weak_witness_form():
@@ -1112,13 +1115,11 @@ def test_ones_pass_through_every_edge_t_exactly():
         assert submaj.relations._mixed([(1, 2, t)], [0.0, 1.0, 1.0]) == [0.0, 1.0, 1.0], t
 
 
-def _chain_witnesses(f, g, verdict=None):
+def _chain_witnesses(f, g):
     """Every chain matrix the relations build for (f, g): W and D1, the
-    majorization witness and ``hlp_witness().product``, as far as each
-    holds; ``verdict`` is check_submajorize's, if already made."""
+    majorization witness and ``hlp_witness().product``, as far as each holds."""
     out = []
-    if verdict is None:
-        verdict = check_submajorize(f, g)
+    verdict = check_submajorize(f, g)
     if verdict.holds:
         out += [verdict.witness, verdict.certificate.completion]
     major = check_majorize(f, g)
@@ -1146,6 +1147,15 @@ def test_chain_sums_equal_the_chain_passes_on_perfbench_pairs(n):
             assert len(witnesses) == (4 if pair is inputs.major_pair else 2)
             for m in witnesses:
                 _assert_sums_are_the_chain_passes(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(holding_weak_pairs())
+def test_chain_sums_equal_the_chain_passes(pair):
+    # Ties, exact zeros, one-ulp moves and scales 2^-60..2^60: every chain
+    # witness takes its sums from the chain passes, bitwise.
+    for m in _chain_witnesses(*pair):
+        _assert_sums_are_the_chain_passes(m)
 
 
 def test_hlp_witness_keeps_named_steps_and_its_json():
