@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import submaj.cli
-from submaj.acceptance import expected_display_matrix
+import submaj.preservers
+from submaj.acceptance import CriterionResult, expected_display_matrix
 from submaj.cli import main
 from submaj.matrices import StochMatrix
-from submaj.preservers import TruncatedOperator
+from submaj.preservers import CounterexamplePair, PreservationReport, TruncatedOperator
 from submaj.relations import chain_product_from_parts, TTransformChain, TTransformStep
+from submaj.vectors import NonNegVector
 
 import oracles
 
@@ -390,3 +392,138 @@ def test_bad_tolerance_combo_is_usage_error(files, capsys):
     f = write("f.json", {"dim": 1, "values": [1.0]})
     assert main(["--tol", "1e-13", "check", "--relation", "weak", f, f]) == 2
     assert "tol" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Golden --json payloads: every key, in order, with its exact value
+# ----------------------------------------------------------------------
+
+_GOLDEN_INPUTS = {
+    "f.json": {"dim": 2, "values": [0.5, 0.5]},
+    "g.json": {"dim": 2, "values": [2.0, 0.0]},
+    "h.json": {"dim": 3, "values": [1.0, 0.5, 0.5]},
+    "good.json": {"rows": 3, "cols": 2, "entries": [[2, 1, 0.5], [3, 2, 0.5]]},
+    "bad.json": {"rows": 3, "cols": 2, "entries": [[1, 1, 0.5], [1, 2, 0.9]]},
+    "spec.json": {"p": 2.0, "weights": [1.0], "injections": [[1, 2, 3, 4, 5]]},
+}
+
+
+def _stub_battery(monkeypatch):
+    _spy_on_battery(monkeypatch, [
+        CriterionResult(1, "greedy completion", True, "1000 completions ok", 0.5),
+        CriterionResult(2, "oracle agreement", False, "1 failure(s); first: case 0: stub", 1.25),
+    ])
+
+
+def _stub_counterexample(monkeypatch):
+    pair = CounterexamplePair(2, NonNegVector(np.array([1.0, 0.0])), NonNegVector(np.array([0.5, 0.5])))
+    report = PreservationReport(trials=3, passes=2, first_counterexample=pair)
+    monkeypatch.setattr(submaj.preservers, "empirical_preservation_check", lambda *a, **k: report)
+
+
+_MAJ_TOTALS = "totals differ at position {}: 1 vs 2"
+_POSITION_1 = "sorted partial sums fail at position 1: 2 > 0.5"
+_WEAK = "weak majorization holds"
+_SUB = "submajorization holds (finite collapse to the weak relation)"
+_L1_OK = "rows are singletons or constant and columns share one multiset"
+_SHIFT_ENTRIES = [[2, 1, 1.0], [3, 2, 1.0]]
+_RECIP_F = [1.0, 0.25, 0.1111111111111111, 0.0625]
+
+# (argv, stub, exit code, indent, payload); a stub replaces what the command runs.
+_GOLDEN = {
+    **{
+        f"check-{relation}-{pair}": (
+            ["--json", "check", "--relation", relation, *pair.split("/")], None, 1 - holds, None,
+            {"relation": relation, "holds": bool(holds), "failed_index": index, "message": message},
+        )
+        for relation, pair, holds, index, message in [
+            ("majorize", "f.json/g.json", 0, 2, _MAJ_TOTALS.format(2)),
+            ("majorize", "g.json/f.json", 0, 1, _POSITION_1),
+            ("majorize", "f.json/h.json", 0, 3, _MAJ_TOTALS.format(3)),
+            ("weak", "f.json/g.json", 1, None, _WEAK),
+            ("weak", "g.json/f.json", 0, 1, _POSITION_1),
+            ("weak", "f.json/h.json", 1, None, _WEAK),
+            ("sub", "f.json/g.json", 1, None, _SUB),
+            ("sub", "g.json/f.json", 0, 1, _POSITION_1),
+            ("sub", "f.json/h.json", 1, None, _SUB),
+        ]
+    },
+    **{
+        f"classify-{space}-{op}": (
+            ["--json", "classify", "--space", space, f"{op}.json"], None, 1 - accepted, None,
+            {"space": space, "accepted": bool(accepted), "reason": reason},
+        )
+        for space, op, accepted, reason in [
+            ("l1", "good", 1, _L1_OK),
+            ("l1", "bad", 0, "row 1 is neither singleton-support nor constant across all columns"),
+            ("lp", "good", 1, "rows are singletons and columns share one multiset"),
+            ("lp", "bad", 0, "row 1 has more than one positive entry"),
+        ]
+    },
+    "demo-shift": (
+        ["--json", "demo", "shift", "--n", "3"], None, 0, 2,
+        {
+            "n": 3,
+            "forced": {"rows": 3, "cols": 3, "entries": _SHIFT_ENTRIES},
+            "fully_determined": True,
+            "conclusion": "equals-right-shift",
+            "annotation": submaj.cli.SHIFT_ANNOTATION,
+        },
+    ),
+    "demo-recip-square": (
+        ["--json", "demo", "recip-square", "--n", "4"], None, 0, 2,
+        {
+            "n": 4,
+            "f": {"dim": 4, "values": _RECIP_F},
+            "g": {"dim": 4, "values": [0.0, *_RECIP_F[:3]]},
+            "right_shift_witness_exact": True,
+            "weak_g_under_f_holds": True,
+            "weak_f_under_g_holds": False,
+            "left_shift_window_exact": True,
+            "window_boundary_defect": 0.0625,
+            "partial_matched_support": [1, 2, 3],
+            "strict_perm_with_zero_pad": [2, 3, 4, 1],
+            "infinite_range_excludes_zero": True,
+        },
+    ),
+    "preserve-test": (
+        ["--json", "preserve-test", "spec.json", "--trials", "5", "--dim", "3"], None, 0, 2,
+        {"trials": 5, "passes": 5, "failures": 0},
+    ),
+    "preserve-test-counterexample": (
+        ["--json", "preserve-test", "spec.json"], _stub_counterexample, 1, 2,
+        {
+            "trials": 3,
+            "passes": 2,
+            "failures": 1,
+            "first_counterexample": {
+                "trial": 2,
+                "f": {"dim": 2, "values": [1.0, 0.0]},
+                "g": {"dim": 2, "values": [0.5, 0.5]},
+            },
+        },
+    ),
+    "selftest": (
+        ["--json", "selftest"], _stub_battery, 1, 2,
+        [
+            {"index": 1, "name": "greedy completion", "passed": True,
+             "detail": "1000 completions ok", "elapsed_s": 0.5},
+            {"index": 2, "name": "oracle agreement", "passed": False,
+             "detail": "1 failure(s); first: case 0: stub", "elapsed_s": 1.25},
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_json_output_bytes(case, tmp_path, monkeypatch, capsys):
+    # check and classify print one compact line, which scripts read as the
+    # last line of stdout; every other command prints indent=2.
+    argv, stub, code, indent, payload = _GOLDEN[case]
+    for name, doc in _GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    if stub is not None:
+        stub(monkeypatch)
+    argv = [str(tmp_path / a) if a in _GOLDEN_INPUTS else a for a in argv]
+    assert main(argv) == code
+    assert capsys.readouterr().out == json.dumps(payload, indent=indent) + "\n"
