@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -84,6 +84,20 @@ def _emit(payload, path: Optional[str]) -> None:
         print(text)
 
 
+def _fields(result, *skip) -> dict:
+    """The fields of a dataclass or named tuple, in order and less ``skip``, as
+    a JSON object: a value with ``to_json_dict`` (a vector or an operator) becomes
+    that dict, a named tuple an object, any other tuple a list; the rest pass as is."""
+    names = result._fields if isinstance(result, tuple) else [f.name for f in fields(result)]
+    out = {name: getattr(result, name) for name in names if name not in skip}
+    for name, value in out.items():
+        if hasattr(value, "to_json_dict"):
+            out[name] = value.to_json_dict()
+        elif isinstance(value, tuple):
+            out[name] = _fields(value) if hasattr(value, "_fields") else list(value)
+    return out
+
+
 def _format_matrix(data: np.ndarray) -> str:
     rows = []
     for row in np.atleast_2d(data):
@@ -106,22 +120,13 @@ def _cmd_check(args, cfg: Config) -> int:
     f = _load_vector(args.f)
     g = _load_vector(args.g)
     verdict = _CHECKS[args.relation](f, g, cfg.tol_class, with_witness=bool(args.emit_witness))
-    if args.emit_witness and verdict.holds and verdict.witness is not None:
+    if args.emit_witness and verdict.holds:
         payload = {"witness": verdict.witness.to_json_dict()}
         if verdict.certificate is not None:
             payload["certificate"] = verdict.certificate.to_json_dict()
         _emit(payload, args.emit_witness)
     if cfg.output_mode == "json":
-        print(
-            json.dumps(
-                {
-                    "relation": args.relation,
-                    "holds": verdict.holds,
-                    "failed_index": verdict.failed_index,
-                    "message": verdict.message,
-                }
-            )
-        )
+        print(json.dumps({"relation": args.relation, **_fields(verdict, "witness", "certificate")}))
     else:
         print(verdict.message)
     return 0 if verdict.holds else 1
@@ -156,7 +161,7 @@ def _cmd_classify(args, cfg: Config) -> int:
     classify = classify_preserver_lp if args.space == "lp" else classify_preserver_l1
     verdict = classify(op, cfg.tol_class)
     if cfg.output_mode == "json":
-        print(json.dumps({"space": args.space, "accepted": verdict.accepted, "reason": verdict.reason}))
+        print(json.dumps({"space": args.space, **_fields(verdict)}))
     else:
         print(("accepted: " if verdict.accepted else "rejected: ") + verdict.reason)
     return 0 if verdict.accepted else 1
@@ -178,24 +183,16 @@ def _cmd_preserve_test(args, cfg: Config) -> int:
     report = empirical_preservation_check(
         spec, trials=args.trials, n=args.dim, seed=cfg.seed, tol=cfg.tol_class
     )
-    payload = {
-        "trials": report.trials,
-        "passes": report.passes,
-        "failures": report.failures,
-    }
-    if report.first_counterexample is not None:
-        ce = report.first_counterexample
-        payload["first_counterexample"] = {
-            "trial": ce.trial,
-            "f": ce.f.to_json_dict(),
-            "g": ce.g.to_json_dict(),
-        }
+    ce = report.first_counterexample
     if cfg.output_mode == "json":
+        payload = {**_fields(report, "first_counterexample"), "failures": report.failures}
+        if ce is not None:
+            payload["first_counterexample"] = _fields(ce)
         print(json.dumps(payload, indent=2))
     else:
         print(f"{report.passes}/{report.trials} trials preserved the order")
-        if report.first_counterexample is not None:
-            print(f"first counterexample at trial {report.first_counterexample.trial}")
+        if ce is not None:
+            print(f"first counterexample at trial {ce.trial}")
     return 0 if report.all_passed else 1
 
 
@@ -206,18 +203,7 @@ def _cmd_demo_shift(args, cfg: Config) -> int:
     g = NonNegVector(np.array([1.0 / (i * i) for i in range(1, n + 1)]))
     result = shift_forcing(g)
     if cfg.output_mode == "json":
-        print(
-            json.dumps(
-                {
-                    "n": n,
-                    "forced": result.forced.to_json_dict(),
-                    "fully_determined": result.fully_determined,
-                    "conclusion": result.conclusion,
-                    "annotation": SHIFT_ANNOTATION,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({"n": n, **_fields(result), "annotation": SHIFT_ANNOTATION}, indent=2))
     else:
         print(f"forced witness for the shifted 1/i^2 sequence, n = {n}:")
         print(_format_matrix(result.forced.to_dense()))
@@ -246,25 +232,8 @@ def _cmd_demo_recip_square(args, cfg: Config) -> int:
     from .demos import reciprocal_square_example
 
     report = reciprocal_square_example(args.n, cfg.tol_class)
-    payload = {
-        "n": report.n,
-        "f": report.f.to_json_dict(),
-        "g": report.g.to_json_dict(),
-        "right_shift_witness_exact": report.right_shift_witness_exact,
-        "weak_g_under_f_holds": report.weak_g_under_f_holds,
-        "weak_f_under_g_holds": report.weak_f_under_g_holds,
-        "left_shift_window_exact": report.left_shift_window_exact,
-        "window_boundary_defect": report.window_boundary_defect,
-        "partial_matched_support": list(report.partial_matched_support),
-        "strict_perm_with_zero_pad": (
-            list(report.strict_perm_with_zero_pad)
-            if report.strict_perm_with_zero_pad is not None
-            else None
-        ),
-        "infinite_range_excludes_zero": report.infinite_range_excludes_zero,
-    }
     if cfg.output_mode == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_fields(report), indent=2))
     else:
         print(f"f(i) = 1/i^2 truncated at n = {report.n}; g = f shifted right")
         print(f"  g equals the shift of f exactly:      {report.right_shift_witness_exact}")
@@ -290,7 +259,7 @@ def run_acceptance(seed: int, tol: float, tol_exact: float):
 def _cmd_selftest(args, cfg: Config) -> int:
     results = run_acceptance(seed=cfg.seed, tol=cfg.tol_class, tol_exact=cfg.tol_exact)
     if cfg.output_mode == "json":
-        print(json.dumps([asdict(r) for r in results], indent=2))
+        print(json.dumps([_fields(r) for r in results], indent=2))
     else:
         for r in results:
             print(r.line())
