@@ -45,5 +45,5 @@ def random_doubly_stochastic(
     weights = rng.dirichlet(np.ones(k))
     data = np.zeros((n, n))
     for w in weights:
-        data += w * random_permutation_matrix(rng, n).data
+        data[np.arange(n), rng.permutation(n)] += w
     return classify_matrix(data, tol)

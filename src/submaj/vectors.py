@@ -156,12 +156,21 @@ def partial_sums(v: NonNegVector) -> np.ndarray:
 
 
 def level_sets(v: NonNegVector) -> LevelSetDecomposition:
-    """Group the support of ``v`` by value, strictly decreasing across blocks."""
-    blocks = []
-    for value in sorted({float(x) for x in v.values if x > 0}, reverse=True):
-        idx = tuple(int(i) + 1 for i in np.nonzero(v.values == value)[0])
-        blocks.append(LevelBlock(value=value, indices=idx))
-    return LevelSetDecomposition(blocks=tuple(blocks))
+    """Group the support of ``v`` by value, strictly decreasing across blocks.
+
+    One stable sort puts each level's indices together in ascending order,
+    and the blocks are cut where the sorted positive values change.
+    """
+    order = np.argsort(-v.values, kind="stable")
+    ranked = v.values[order]
+    m = int(np.count_nonzero(ranked > 0))
+    if m == 0:
+        return LevelSetDecomposition(blocks=())
+    cuts = [0, *(np.flatnonzero(ranked[1:m] != ranked[: m - 1]) + 1).tolist(), m]
+    values, idx = ranked[:m].tolist(), (order[:m] + 1).tolist()
+    return LevelSetDecomposition(
+        blocks=tuple(LevelBlock(value=values[a], indices=tuple(idx[a:b])) for a, b in zip(cuts, cuts[1:]))
+    )
 
 
 def scatter_level_sets(decomp: LevelSetDecomposition, dim: int) -> NonNegVector:

@@ -1,7 +1,13 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and settings shared by the test modules."""
 import pytest
+from hypothesis import settings
 
 from submaj.acceptance import run_acceptance
+
+# Every property draws the same examples on every run (seeded from the test
+# function), so whether a change is caught does not depend on the run.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

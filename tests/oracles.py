@@ -15,7 +15,7 @@ from submaj.demos import ReciprocalSquareReport
 from submaj.matrices import MatrixClass, StochMatrix, decompose_increasable
 from submaj.preservers import FamilyCollision, FamilyVerdict, TruncatedOperator
 from submaj.relations import check_majorize, check_submajorize, check_weak_majorize, strict_permutation
-from submaj.vectors import NonNegVector, common_dim
+from submaj.vectors import LevelBlock, LevelSetDecomposition, NonNegVector, common_dim
 
 
 # The message of each check's holding verdict.
@@ -24,6 +24,25 @@ HOLDS = {
     check_weak_majorize: "weak majorization holds",
     check_submajorize: "submajorization holds (finite collapse to the weak relation)",
 }
+
+
+# ----------------------------------------------------------------------
+# Vectors
+# ----------------------------------------------------------------------
+
+
+def level_sets(v):
+    """The level-set decomposition by one scan of the whole vector per
+    distinct positive value, largest first.
+
+    Pins the blocks exactly: Python float values and ascending 1-based
+    Python int indices.
+    """
+    blocks = []
+    for value in sorted({float(x) for x in v.values if x > 0}, reverse=True):
+        idx = tuple(int(i) + 1 for i in np.nonzero(v.values == value)[0])
+        blocks.append(LevelBlock(value=value, indices=idx))
+    return LevelSetDecomposition(blocks=tuple(blocks))
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,8 @@ from submaj.vectors import (
     scatter_level_sets,
 )
 
+import oracles
+
 
 class TestConstruction:
     def test_rejects_negative(self):
@@ -171,6 +173,16 @@ class TestLevelSets:
         assert [b.indices for b in decomp.blocks] == [(1,), (2,), (3,), (4,)]
         values = [b.value for b in decomp.blocks]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_matches_the_per_level_scan(self):
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            n = int(rng.integers(1, 60))
+            v = np.round(rng.uniform(0, 1, n), int(rng.integers(0, 4)))  # ties at 0 to 3 decimals
+            v[rng.uniform(size=n) < 0.2] = 0.0
+            got = level_sets(NonNegVector(v))
+            assert got == oracles.level_sets(NonNegVector(v))
+            assert all(type(b.value) is float and all(type(i) is int for i in b.indices) for b in got.blocks)
 
     def test_scatter_reconstructs_exactly(self):
         rng = np.random.default_rng(3)
