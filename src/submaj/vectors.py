@@ -156,21 +156,15 @@ def partial_sums(v: NonNegVector) -> np.ndarray:
 
 
 def level_sets(v: NonNegVector) -> LevelSetDecomposition:
-    """Group the support of ``v`` by value, strictly decreasing across blocks.
-
-    One stable sort puts each level's indices together in ascending order,
-    and the blocks are cut where the sorted positive values change.
-    """
+    """Group the support of ``v`` by value, strictly decreasing across blocks:
+    one stable sort, cut where the sorted positive values change."""
     order = np.argsort(-v.values, kind="stable")
     ranked = v.values[order]
     m = int(np.count_nonzero(ranked > 0))
-    if m == 0:
-        return LevelSetDecomposition(blocks=())
-    cuts = [0, *(np.flatnonzero(ranked[1:m] != ranked[: m - 1]) + 1).tolist(), m]
+    starts = np.flatnonzero(np.diff(ranked[:m], prepend=np.inf)).tolist()  # none for an empty support
     values, idx = ranked[:m].tolist(), (order[:m] + 1).tolist()
-    return LevelSetDecomposition(
-        blocks=tuple(LevelBlock(value=values[a], indices=tuple(idx[a:b])) for a, b in zip(cuts, cuts[1:]))
-    )
+    blocks = (LevelBlock(value=values[a], indices=tuple(idx[a:b])) for a, b in zip(starts, [*starts[1:], m]))
+    return LevelSetDecomposition(blocks=tuple(blocks))
 
 
 def scatter_level_sets(decomp: LevelSetDecomposition, dim: int) -> NonNegVector:
