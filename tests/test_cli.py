@@ -425,27 +425,25 @@ _MAJ_TOTALS = "totals differ at position {}: 1 vs 2"
 _POSITION_1 = "sorted partial sums fail at position 1: 2 > 0.5"
 _WEAK = "weak majorization holds"
 _SUB = "submajorization holds (finite collapse to the weak relation)"
-_L1_OK = "rows are singletons or constant and columns share one multiset"
-_SHIFT_ENTRIES = [[2, 1, 1.0], [3, 2, 1.0]]
 _RECIP_F = [1.0, 0.25, 0.1111111111111111, 0.0625]
 
 # (argv, stub, exit code, indent, payload); a stub replaces what the command runs.
 _GOLDEN = {
     **{
         f"check-{relation}-{pair}": (
-            ["--json", "check", "--relation", relation, *pair.split("/")], None, 1 - holds, None,
+            ["--json", "check", "--relation", relation, f"{pair[0]}.json", f"{pair[1]}.json"], None, 1 - holds, None,
             {"relation": relation, "holds": bool(holds), "failed_index": index, "message": message},
         )
         for relation, pair, holds, index, message in [
-            ("majorize", "f.json/g.json", 0, 2, _MAJ_TOTALS.format(2)),
-            ("majorize", "g.json/f.json", 0, 1, _POSITION_1),
-            ("majorize", "f.json/h.json", 0, 3, _MAJ_TOTALS.format(3)),
-            ("weak", "f.json/g.json", 1, None, _WEAK),
-            ("weak", "g.json/f.json", 0, 1, _POSITION_1),
-            ("weak", "f.json/h.json", 1, None, _WEAK),
-            ("sub", "f.json/g.json", 1, None, _SUB),
-            ("sub", "g.json/f.json", 0, 1, _POSITION_1),
-            ("sub", "f.json/h.json", 1, None, _SUB),
+            ("majorize", "fg", 0, 2, _MAJ_TOTALS.format(2)),
+            ("majorize", "gf", 0, 1, _POSITION_1),
+            ("majorize", "fh", 0, 3, _MAJ_TOTALS.format(3)),
+            ("weak", "fg", 1, None, _WEAK),
+            ("weak", "gf", 0, 1, _POSITION_1),
+            ("weak", "fh", 1, None, _WEAK),
+            ("sub", "fg", 1, None, _SUB),
+            ("sub", "gf", 0, 1, _POSITION_1),
+            ("sub", "fh", 1, None, _SUB),
         ]
     },
     **{
@@ -454,7 +452,7 @@ _GOLDEN = {
             {"space": space, "accepted": bool(accepted), "reason": reason},
         )
         for space, op, accepted, reason in [
-            ("l1", "good", 1, _L1_OK),
+            ("l1", "good", 1, "rows are singletons or constant and columns share one multiset"),
             ("l1", "bad", 0, "row 1 is neither singleton-support nor constant across all columns"),
             ("lp", "good", 1, "rows are singletons and columns share one multiset"),
             ("lp", "bad", 0, "row 1 has more than one positive entry"),
@@ -464,7 +462,7 @@ _GOLDEN = {
         ["--json", "demo", "shift", "--n", "3"], None, 0, 2,
         {
             "n": 3,
-            "forced": {"rows": 3, "cols": 3, "entries": _SHIFT_ENTRIES},
+            "forced": {"rows": 3, "cols": 3, "entries": [[2, 1, 1.0], [3, 2, 1.0]]},
             "fully_determined": True,
             "conclusion": "equals-right-shift",
             "annotation": submaj.cli.SHIFT_ANNOTATION,
